@@ -68,6 +68,11 @@ def canonical_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> FramePair:
     the canonical dual is the frame itself.
     """
     _, s_inv, _ = _invert_frame_op(frame, tol)
+    return _canonical_dual_from(frame, s_inv)
+
+
+def _canonical_dual_from(frame: FramePair, s_inv: LinearMap) -> FramePair:
+    """The canonical dual built from an already computed S^-1."""
     return FramePair(
         x_space=frame.x_space,
         seq_space=frame.seq_space,

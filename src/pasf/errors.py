@@ -2,10 +2,10 @@
 
 Every failure mode gets its own class so callers (and the CLI exit-code
 mapping) can branch on the *kind* of failure without parsing messages.
-Names follow the operation contracts: ``Singular`` means a pivot fell
-below the tolerance, ``NotAFrame`` means a frame operator is singular,
-``GateSingular`` means a parameterized dual candidate failed its
-invertibility gate, and so on.
+Names follow the operation contracts: ``Singular`` means a square
+map's numerical rank fell short, ``NotAFrame`` means a frame operator
+is singular, ``GateSingular`` means a parameterized dual candidate
+failed its invertibility gate, and so on.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ class NonSquare(PasfError):
 
 
 class Singular(PasfError):
-    """A pivot fell below tol * max-entry during elimination.
+    """Fewer singular values than the dimension reach tol * max-entry.
 
-    ``rank`` carries the numerical rank found before the breakdown.
+    ``rank`` carries the numerical rank that was found.
     """
 
     def __init__(self, message: str, rank: int | None = None):

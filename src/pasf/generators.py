@@ -70,9 +70,33 @@ class PortableRng:
         return self.next_u64() % n
 
     def matrix(self, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
-        """rows x cols matrix with entries uniform in [-scale, scale), row-major fill."""
-        flat = [scale * self.uniform_signed() for _ in range(rows * cols)]
-        return np.array(flat, dtype=float).reshape(rows, cols)
+        """rows x cols matrix with entries uniform in [-scale, scale), row-major fill.
+
+        Bit-identical to ``scale * uniform_signed()`` called rows * cols
+        times, but vectorised: the LCG states are produced by doubling
+        jump-ahead in uint64 (which wraps mod 2^64), then shuffled and
+        mapped to doubles as whole arrays.
+        """
+        count = rows * cols
+        if count == 0:
+            return np.zeros((rows, cols))
+        states = np.empty(count, dtype=np.uint64)
+        states[0] = (self._state * _MULT + _INC) & _MASK64
+        # (mult, inc) is the affine LCG map that advances `filled` steps
+        mult, inc, filled = _MULT, _INC, 1
+        while filled < count:
+            take = min(filled, count - filled)
+            states[filled:filled + take] = states[:take] * np.uint64(mult) + np.uint64(inc)
+            mult, inc = (mult * mult) & _MASK64, (mult * inc + inc) & _MASK64
+            filled += take
+        self._state = int(states[-1])
+        x = states ^ (states >> np.uint64(30))
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        uniform = (x >> np.uint64(11)).astype(float) * 2.0 ** -53
+        return (scale * (2.0 * uniform - 1.0)).reshape(rows, cols)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""

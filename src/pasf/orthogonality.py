@@ -103,7 +103,7 @@ def scalar_interpolate(
     tol: float = DEFAULT_TOL,
 ) -> FramePair:
     """Scalar stitching (a f_k + b g_k, c tau_k + d omega_k) with c a + d b = 1."""
-    if abs(c * a + d * b - 1.0) > tol:
+    if not abs(c * a + d * b - 1.0) <= tol:  # written so that NaN fails too
         raise ContractViolated(
             f"c*a + d*b = {c * a + d * b!r} is not 1", residual=abs(c * a + d * b - 1.0)
         )

@@ -2,8 +2,9 @@
 
 This is the numeric substrate for the whole package: coordinate spaces
 carrying an l^p norm (p in [1, inf], inf represented by ``math.inf``),
-immutable vectors and matrices living on them, inversion by elimination
-with full pivoting, and induced operator p-norms.
+immutable vectors and matrices living on them, numerical rank from the
+singular values (one LAPACK call), inversion guarded by that rank, and
+induced operator p-norms.
 
 Operator norms are exact for p in {1, 2, inf} (max absolute column sum,
 largest singular value, max absolute row sum). For any other exponent
@@ -25,9 +26,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, MixedExponents, NonSquare, Singular
 
-#: Default relative singularity tolerance: pivots below ``tol * max-entry``
-#: are treated as zero. Chosen for double-precision headroom at the scales
-#: this package targets (dimensions up to 64).
+#: Default relative singularity tolerance: singular values below
+#: ``tol * max-entry`` are treated as zero. Chosen for double-precision
+#: headroom at the scales this package targets (dimensions up to 64).
 DEFAULT_TOL = 1e-9
 
 #: Sentinel for the sup-norm exponent.
@@ -256,48 +257,34 @@ def _basis_vec(n: int, j: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elimination, rank, inversion
+# rank, inversion
 
 
 def _eliminate(a: np.ndarray, tol: float) -> int:
-    """Numerical rank by Gaussian elimination with complete pivoting.
+    """Numerical rank: the count of singular values at or above ``tol * max-entry``.
 
-    A pivot counts while it stays at or above ``tol * max-entry`` of the
-    original matrix. Complete (not partial) pivoting so that matrices
-    like [[0, 1], [0, 0]] rank correctly.
+    One LAPACK SVD decides it. A matrix with a non-finite entry has rank
+    0, so NaN and inf fail every rank check instead of reaching LAPACK.
     """
-    r = np.array(a, dtype=float, copy=True)
-    nrow, ncol = r.shape
-    scale = float(np.abs(r).max()) if r.size else 0.0
-    if scale == 0.0:
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    if scale == 0.0 or not math.isfinite(scale):
         return 0
-    thresh = tol * scale
-    rank = 0
-    for k in range(min(nrow, ncol)):
-        sub = np.abs(r[k:, k:])
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i, j] < thresh:
-            break
-        i += k
-        j += k
-        if i != k:
-            r[[k, i], :] = r[[i, k], :]
-        if j != k:
-            r[:, [k, j]] = r[:, [j, k]]
-        rank += 1
-        if k + 1 < nrow:
-            factors = r[k + 1:, k] / r[k, k]
-            r[k + 1:, k:] -= np.outer(factors, r[k, k:])
-    return rank
+    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) >= tol * scale))
 
 
 def rank(m: LinearMap, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank of ``m`` at relative pivot threshold ``tol``."""
+    """Numerical rank of ``m``: singular values at or above ``tol * max-entry``.
+
+    Any NaN or inf entry gives rank 0.
+    """
     return _eliminate(m.entries, tol)
 
 
 def invert(m: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
-    """Inverse of a square map, or :class:`Singular` if a pivot collapses.
+    """Inverse of a square map, or :class:`Singular` if its rank falls short.
+
+    The map is singular when fewer than ``dim`` singular values reach
+    ``tol * max-entry`` (see :func:`rank`); the exception carries the rank.
 
     The inverse is polished with a Newton step when the raw residual
     ``max-entry(A M - I)`` exceeds a fraction of ``tol``, so results stay

@@ -146,6 +146,12 @@ def test_sample_duals_writes_valid_duals(files, tmp_path, capsys):
         assert is_dual(frame, dual)
 
 
+def test_sample_duals_negative_count_exits_1(files, capsys):
+    code, out, _ = run(capsys, "sample-duals", files["standard"], "--count", "-3", "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "FrameFormatError"
+
+
 # ---------------------------------------------------------------------------
 # orthogonality and interpolation
 
@@ -243,6 +249,20 @@ def test_invalid_env_tolerance_exits_1(files, capsys, monkeypatch):
     monkeypatch.setenv("PASF_TOL", "plenty")
     code, _, _ = run(capsys, "validate", files["standard"])
     assert code == 1
+
+
+@pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(files, capsys, monkeypatch, bad):
+    # on a singular frame an unchecked tolerance reaches LAPACK or json.dumps
+    code, out, _ = run(capsys, "validate", files["rankdef"], "--tol", bad, "--json")
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["code"] == "FrameFormatError"
+    monkeypatch.setenv("PASF_TOL", bad)
+    code, out, _ = run(capsys, "validate", files["rankdef"], "--json")
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["code"] == "FrameFormatError"
 
 
 def test_usage_error_exits_1(capsys):

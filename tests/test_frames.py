@@ -126,6 +126,17 @@ def test_validate_rank_deficient():
     assert info.value.rank == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite_entries(bad):
+    # a non-finite entry must never pass a rank check
+    frame = make_frame([[1, 0], [0, bad]], np.eye(2))
+    assert rank(frame_operator(frame)) == 0
+    assert rank(analysis_operator(frame)) == 0
+    with pytest.raises(NotAFrame) as info:
+        validate(frame)
+    assert info.value.rank == 0
+
+
 def test_parseval_brackets_contain_one_within_dim_tol():
     # entrywise ||S - I|| <= tol perturbs any induced norm by at most dim*tol
     tol = 1e-9

@@ -58,10 +58,18 @@ def test_rng_permutation_is_a_permutation():
 
 
 def test_rng_matrix_fill_is_row_major_and_reproducible():
-    a = PortableRng(3).matrix(2, 3)
-    flat = PortableRng(3)
-    expected = [flat.uniform_signed() for _ in range(6)]
-    assert a.flatten().tolist() == expected
+    # the vectorised fill must equal the scalar stream bit for bit and
+    # leave the generator where the scalar stream would
+    for seed in (3, 0, 2**64 - 1):
+        for rows, cols in ((2, 3), (64, 64), (1, 1)):
+            for scale in (1.0, 1.0 / 4096):
+                rng = PortableRng(seed)
+                a = rng.matrix(rows, cols, scale)
+                flat = PortableRng(seed)
+                expected = [scale * flat.uniform_signed() for _ in range(rows * cols)]
+                assert a.shape == (rows, cols)
+                assert a.flatten().tolist() == expected
+                assert rng.next_u64() == flat.next_u64()
 
 
 # ---------------------------------------------------------------------------

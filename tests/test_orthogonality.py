@@ -121,6 +121,13 @@ def test_scalar_contract_violation():
     assert info.value.residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("scalars", [(np.nan, 0.0, 1.0, 0.0), (1.0, 0.0, np.nan, 0.0), (np.inf, 0.0, 1.0, 0.0)])
+def test_scalar_contract_rejects_non_finite(scalars):
+    frame1, frame2 = block_orthogonal_pair()
+    with pytest.raises(ContractViolated):
+        scalar_interpolate(frame1, frame2, *scalars)
+
+
 def test_operator_contract_violation_reports_residual():
     frame1, frame2 = block_orthogonal_pair()
     eye = np.eye(2)

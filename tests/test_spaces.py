@@ -251,6 +251,12 @@ def test_rank_needs_complete_pivoting():
     assert rank(lmap(np.zeros((3, 3))), 1e-9) == 0
 
 
+def test_rank_counts_singular_values_against_tol():
+    # pivots of this matrix all reach tol, but sigma_min ~ 7.5e-10 < 1e-9
+    assert rank(lmap([[1, 1], [1, 1 + 1.5e-9]]), 1e-9) == 1
+    assert rank(lmap([[1, 1], [1, 1 + 3e-9]]), 1e-9) == 2
+
+
 @settings(deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 5))
 def test_compose_associative(seed, n):
