@@ -17,7 +17,7 @@ and all left inverses of theta_f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .errors import (
 from .frames import (
     FramePair,
     FrameReport,
-    _invert_frame_op,
+    _factored,
     analysis_operator,
+    projection,
     synthesis_operator,
 )
 from .spaces import DEFAULT_TOL, LinearMap, NormBound, _eliminate
@@ -67,18 +68,8 @@ def canonical_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> FramePair:
     Applying it twice returns the original frame: the canonical dual of
     the canonical dual is the frame itself.
     """
-    _, s_inv, _ = _invert_frame_op(frame, tol)
-    return _canonical_dual_from(frame, s_inv)
-
-
-def _canonical_dual_from(frame: FramePair, s_inv: LinearMap) -> FramePair:
-    """The canonical dual built from an already computed S^-1."""
-    return FramePair(
-        x_space=frame.x_space,
-        seq_space=frame.seq_space,
-        functionals=frame.functionals @ s_inv.entries,
-        vectors=s_inv.entries @ frame.vectors,
-    )
+    si = _factored(frame, tol)[1].entries
+    return replace(frame, functionals=frame.functionals @ si, vectors=si @ frame.vectors)
 
 
 def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool:
@@ -106,10 +97,9 @@ def right_inverse_from(frame: FramePair, u: LinearMap, tol: float = DEFAULT_TOL)
     d, n = frame.dim, frame.count
     if u.entries.shape != (n, d):
         raise SpaceMismatch(f"U must map x_space into seq_space ({n} x {d}), got {u.entries.shape}")
-    _, s_inv, _ = _invert_frame_op(frame, tol)
-    base = frame.functionals @ s_inv.entries
-    p = base @ frame.vectors
-    entries = base + (np.eye(n) - p) @ u.entries
+    _, s_inv, _ = _factored(frame, tol)
+    p = projection(frame, tol).entries
+    entries = frame.functionals @ s_inv.entries + (np.eye(n) - p) @ u.entries
     return LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=entries)
 
 
@@ -122,10 +112,9 @@ def left_inverse_from(frame: FramePair, v: LinearMap, tol: float = DEFAULT_TOL) 
     d, n = frame.dim, frame.count
     if v.entries.shape != (d, n):
         raise SpaceMismatch(f"V must map seq_space into x_space ({d} x {n}), got {v.entries.shape}")
-    _, s_inv, _ = _invert_frame_op(frame, tol)
-    base = s_inv.entries @ frame.vectors
-    p = frame.functionals @ base
-    entries = base + v.entries @ (np.eye(n) - p)
+    _, s_inv, _ = _factored(frame, tol)
+    p = projection(frame, tol).entries
+    entries = s_inv.entries @ frame.vectors + v.entries @ (np.eye(n) - p)
     return LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=entries)
 
 
@@ -141,19 +130,11 @@ def dual_from_parameters(
     recomputed as the candidate's frame operator theta_omega theta_g and
     the two routes must agree entrywise, guarding the expansion algebra.
     """
+    g = right_inverse_from(frame, u, tol).entries
+    omega = left_inverse_from(frame, v, tol).entries
     d, n = frame.dim, frame.count
-    if u.entries.shape != (n, d):
-        raise SpaceMismatch(f"U must map x_space into seq_space ({n} x {d}), got {u.entries.shape}")
-    if v.entries.shape != (d, n):
-        raise SpaceMismatch(f"V must map seq_space into x_space ({d} x {n}), got {v.entries.shape}")
-    _, s_inv, _ = _invert_frame_op(frame, tol)
-    si = s_inv.entries
-    f, t = frame.functionals, frame.vectors
-    p = f @ si @ t
-    eye_n = np.eye(n)
-    g = f @ si + (eye_n - p) @ u.entries
-    omega = si @ t + v.entries @ (eye_n - p)
-
+    si = _factored(frame, tol)[1].entries
+    p = projection(frame, tol).entries
     gate = si + v.entries @ u.entries - v.entries @ p @ u.entries
     found = _eliminate(gate, tol)
     if found < d:

@@ -26,11 +26,14 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 from .errors import FrameFormatError
 from .frames import FramePair
 from .spaces import INF, PNormSpace
 
 _REQUIRED_KEYS = ("dim", "count", "p", "q", "functionals", "vectors")
+_MAX = float(np.finfo(float).max)
 
 
 def _parse_exponent(value: Any, key: str) -> float:
@@ -38,6 +41,8 @@ def _parse_exponent(value: Any, key: str) -> float:
         return INF
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FrameFormatError(f"field '{key}' must be a number or \"inf\", got {value!r}")
+    if isinstance(value, int) and abs(value) > _MAX:  # beyond the double range, like 1e400
+        value = INF if value > 0 else -INF
     value = float(value)
     if math.isnan(value) or value < 1.0:
         raise FrameFormatError(f"field '{key}' must be >= 1, got {value!r}")
@@ -59,7 +64,8 @@ def _parse_rows(value: Any, key: str, nrows: int, ncols: int) -> list[list[float
             raise FrameFormatError(f"field '{key}' row {i} must be a list of {ncols} numbers")
         out = []
         for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+            # compared, not converted: an integer literal may exceed the double range
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= _MAX:
                 raise FrameFormatError(f"field '{key}' entry ({i}, {j}) must be a finite number, got {x!r}")
             out.append(float(x))
         rows.append(out)
@@ -117,22 +123,28 @@ def loads_frame(text: str) -> FramePair:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FrameFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise FrameFormatError(f"invalid JSON: {exc}") from exc
     return frame_from_dict(doc)
 
 
 def dumps_frame(frame: FramePair) -> str:
-    """Serialize a frame to JSON text."""
+    """Serialize a frame to JSON text; no frame file holds a non-finite entry."""
+    if not (np.isfinite(frame.functionals).all() and np.isfinite(frame.vectors).all()):
+        raise FrameFormatError("a frame with non-finite entries cannot be written as a frame file")
     return json.dumps(frame_to_dict(frame), indent=2, allow_nan=False)
 
 
 def load_frame(path) -> FramePair:
     """Read a frame file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which no valid frame file contains
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return loads_frame(fh.read())
 
 
 def save_frame(frame: FramePair, path) -> None:
     """Write a frame file that re-parses bit-identically."""
+    text = dumps_frame(frame)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_frame(frame))
+        fh.write(text)
         fh.write("\n")

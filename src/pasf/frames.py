@@ -16,7 +16,7 @@ theta_f. ``validate`` decides all of this at a configurable tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,12 +44,17 @@ class FramePair:
     d x n with column k equal to tau_k. Construction checks shapes only;
     whether the pair is an actual p-ASF (frame operator invertible) is
     decided by :func:`validate`.
+
+    The other fields are frozen, so S, S^-1 and rcond are computed once
+    per (frame, tol), kept in the private ``_inverses`` memo and reused
+    by every entry point after that.
     """
 
     x_space: PNormSpace
     seq_space: PNormSpace
     functionals: np.ndarray
     vectors: np.ndarray
+    _inverses: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d, n = self.x_space.dim, self.seq_space.dim
@@ -125,6 +130,21 @@ def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap
     return s, s_inv, rcond
 
 
+def _factored(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float]:
+    """(S, S^-1, rcond) at ``tol``, inverted on the first call only;
+    raises :class:`NotAFrame` (not memoised) when S is singular."""
+    found = frame._inverses.get(tol)
+    if found is None:
+        found = frame._inverses[tol] = _invert_frame_op(frame, tol)
+    return found
+
+
+def _parseval(frame: FramePair, tol: float) -> bool:
+    """``validate(frame, tol).parseval`` without the norm brackets."""
+    s, _, _ = _factored(frame, tol)
+    return float(np.abs(s.entries - np.eye(frame.dim)).max()) <= tol
+
+
 def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
     """Decide the p-ASF property and compute optimal frame bounds.
 
@@ -133,21 +153,16 @@ def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
     surjectivity of theta_tau are corroborated independently through
     numerical ranks rather than inferred from the invertibility of S.
     """
-    s, s_inv, rcond = _invert_frame_op(frame, tol)
-    upper = operator_norm(s)
-    lower = operator_norm(s_inv).reciprocal()
+    s, s_inv, rcond = _factored(frame, tol)
     d = frame.dim
-    parseval = float(np.abs(s.entries - np.eye(d)).max()) <= tol
-    analysis_injective = _eliminate(frame.functionals, tol) == d
-    synthesis_surjective = _eliminate(frame.vectors, tol) == d
     return FrameReport(
         frame_op=s,
         frame_op_inv=s_inv,
-        lower_bound=lower,
-        upper_bound=upper,
-        parseval=parseval,
-        analysis_injective=analysis_injective,
-        synthesis_surjective=synthesis_surjective,
+        lower_bound=operator_norm(s_inv).reciprocal(),
+        upper_bound=operator_norm(s),
+        parseval=_parseval(frame, tol),
+        analysis_injective=_eliminate(frame.functionals, tol) == d,
+        synthesis_surjective=_eliminate(frame.vectors, tol) == d,
         rcond=rcond,
     )
 
@@ -160,7 +175,7 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
     """
     if x.space.dim != frame.dim:
         raise DimensionMismatch(f"vector of dim {x.space.dim} does not live on a dim-{frame.dim} space")
-    _, s_inv, _ = _invert_frame_op(frame, tol)
+    _, s_inv, _ = _factored(frame, tol)
     f, t, si = frame.functionals, frame.vectors, s_inv.entries
     first = t @ (f @ (si @ x.coords))       # coefficients of the dual functionals, original vectors
     second = (si @ t) @ (f @ x.coords)      # original coefficients, dual vectors
@@ -176,7 +191,7 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
 
 def projection(frame: FramePair, tol: float = DEFAULT_TOL) -> LinearMap:
     """P = theta_f S^-1 theta_tau, the idempotent onto range(theta_f)."""
-    _, s_inv, _ = _invert_frame_op(frame, tol)
+    _, s_inv, _ = _factored(frame, tol)
     p = frame.functionals @ s_inv.entries @ frame.vectors
     return LinearMap(domain=frame.seq_space, codomain=frame.seq_space, entries=p)
 
@@ -211,7 +226,7 @@ def factorize(frame: FramePair, tol: float = DEFAULT_TOL) -> tuple[LinearMap, Li
     Round-trips exactly: ``from_factorization(*factorize(frame))`` stores
     the same matrices bit for bit.
     """
-    _invert_frame_op(frame, tol)
+    _factored(frame, tol)
     return analysis_operator(frame), synthesis_operator(frame)
 
 

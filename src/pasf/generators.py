@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GateSingular, GenerationFailed, InsufficientCoordinates, NotAFrame
 from .duality import DualCandidate, dual_from_parameters
-from .frames import FramePair, validate
+from .frames import FramePair, _factored
 from .spaces import DEFAULT_TOL, LinearMap, PNormSpace
 
 #: Seeds are plain 64-bit unsigned integers (wider ints are masked).
@@ -138,10 +138,10 @@ def random_frame(
             vectors=rng.matrix(d, n),
         )
         try:
-            report = validate(frame)
+            _, _, rcond = _factored(frame, DEFAULT_TOL)
         except NotAFrame:
             continue
-        if report.rcond >= min_rcond:
+        if rcond >= min_rcond:
             return frame
     raise GenerationFailed(f"no well-conditioned frame in {_MAX_REJECTS} draws for seed {seed}")
 

@@ -14,7 +14,7 @@ of scalar multiples of the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     NotParseval,
 )
 from .duality import _require_same_spaces
-from .frames import FramePair, validate
+from .frames import FramePair, _factored, _parseval
 from .spaces import DEFAULT_TOL, LinearMap, identity
 
 
@@ -72,9 +72,9 @@ def interpolate(
             raise DimensionMismatch(
                 f"interpolation operators must be {d} x {d}, got {op.entries.shape}"
             )
-    if not validate(frame1, tol).parseval:
+    if not _parseval(frame1, tol):
         raise NotParseval("first frame is not Parseval")
-    if not validate(frame2, tol).parseval:
+    if not _parseval(frame2, tol):
         raise NotParseval("second frame is not Parseval")
     if not is_orthogonal(frame1, frame2, tol):
         raise NotOrthogonal("frames are not orthogonal")
@@ -130,20 +130,11 @@ def mixed_pair_degeneracy_check(
     if not is_orthogonal(frame1, frame2, tol):
         raise NotOrthogonal("frames are not orthogonal")
 
-    def fails(functionals, vectors) -> bool:
-        mixed = FramePair(
-            x_space=frame1.x_space,
-            seq_space=frame1.seq_space,
-            functionals=functionals,
-            vectors=vectors,
-        )
+    def fails(mixed: FramePair) -> bool:
         try:
-            validate(mixed, tol)
+            _factored(mixed, tol)
         except NotAFrame:
             return True
         return False
 
-    return (
-        fails(frame1.functionals, frame2.vectors),
-        fails(frame2.functionals, frame1.vectors),
-    )
+    return fails(replace(frame1, vectors=frame2.vectors)), fails(replace(frame2, vectors=frame1.vectors))

@@ -17,7 +17,7 @@ two canonical Parseval frames: (f S^-1, tau) and (f, S^-1 tau).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +26,10 @@ from .errors import (
     NotInvertibleWitness,
     NotParseval,
     NotSimilar,
-    Singular,
 )
-from .duality import _require_same_spaces
-from .frames import FramePair, _invert_frame_op, projection, validate
-from .spaces import DEFAULT_TOL, LinearMap, invert
+from .duality import _require_same_spaces, canonical_dual
+from .frames import FramePair, _factored, _parseval, projection
+from .spaces import DEFAULT_TOL, LinearMap, _eliminate
 
 
 @dataclass(frozen=True)
@@ -54,23 +53,20 @@ def witness_from_frames(
     """Closed-form witness candidates between two frames.
 
     Always computable; ``invertible`` is False when either candidate map
-    fails to invert, which callers can use to inspect near misses.
+    has rank below dim at ``tol``, which callers can use to inspect near
+    misses.
     """
     _require_same_spaces(frame1, frame2)
-    _, s_inv, _ = _invert_frame_op(frame1, tol)
+    _, s_inv, _ = _factored(frame1, tol)
     si = s_inv.entries
     t_fg = si @ frame1.vectors @ frame2.functionals
     t_tw = frame2.vectors @ frame1.functionals @ si
-    space = frame1.x_space
-    fg_map = LinearMap(domain=space, codomain=space, entries=t_fg)
-    tw_map = LinearMap(domain=space, codomain=space, entries=t_tw)
-    invertible = True
-    for candidate in (fg_map, tw_map):
-        try:
-            invert(candidate, tol)
-        except Singular:
-            invertible = False
-    return SimilarityWitness(t_fg=fg_map, t_tau_omega=tw_map, invertible=invertible)
+    d, space = frame1.dim, frame1.x_space
+    return SimilarityWitness(
+        t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),
+        t_tau_omega=LinearMap(domain=space, codomain=space, entries=t_tw),
+        invertible=_eliminate(t_fg, tol) == d and _eliminate(t_tw, tol) == d,
+    )
 
 
 def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
@@ -128,7 +124,7 @@ def parseval_transfer_check(
     order; both routes are evaluated and must agree with the direct
     Parseval test of frame2.
     """
-    if not validate(frame_parseval, tol).parseval:
+    if not _parseval(frame_parseval, tol):
         raise NotParseval("first frame is not Parseval")
     if not are_similar(frame_parseval, frame2, tol):
         raise NotSimilar("frames are not similar")
@@ -137,7 +133,7 @@ def parseval_transfer_check(
     eye = np.eye(frame_parseval.dim)
     by_product = float(np.abs(b @ a - eye).max()) <= tol
     by_reverse = float(np.abs(a @ b - eye).max()) <= tol
-    direct = validate(frame2, tol).parseval
+    direct = _parseval(frame2, tol)
     if by_product != direct or by_reverse != direct:
         raise ConsistencyError(
             "witness-product and direct Parseval tests disagree; "
@@ -152,18 +148,5 @@ def parsevalize(frame: FramePair, tol: float = DEFAULT_TOL) -> tuple[FramePair, 
     Returns ((f_k S^-1, tau_k), (f_k, S^-1 tau_k)); the similarity
     witnesses are (S^-1, I) and (I, S^-1) respectively.
     """
-    _, s_inv, _ = _invert_frame_op(frame, tol)
-    si = s_inv.entries
-    first = FramePair(
-        x_space=frame.x_space,
-        seq_space=frame.seq_space,
-        functionals=frame.functionals @ si,
-        vectors=frame.vectors,
-    )
-    second = FramePair(
-        x_space=frame.x_space,
-        seq_space=frame.seq_space,
-        functionals=frame.functionals,
-        vectors=si @ frame.vectors,
-    )
-    return first, second
+    dual = canonical_dual(frame, tol)
+    return replace(dual, vectors=frame.vectors), replace(dual, functionals=frame.functionals)

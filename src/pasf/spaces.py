@@ -137,13 +137,19 @@ class NormBound:
 
 
 def _lp(v: np.ndarray, p: float) -> float:
+    """l^p norm; for p outside {1, 2, inf} computed scaled, as
+    m * (sum (|v_i| / m)^p)^(1/p) with m = max |v_i|, so that no power
+    overflows and the largest terms never underflow, for any finite p."""
     if p == INF:
         return float(np.abs(v).max()) if v.size else 0.0
     if p == 1.0:
         return float(np.abs(v).sum())
     if p == 2.0:
         return float(np.linalg.norm(v))
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    m = float(np.abs(v).max()) if v.size else 0.0
+    if m == 0.0 or not math.isfinite(m):
+        return m
+    return m * float(np.sum((np.abs(v) / m) ** p) ** (1.0 / p))
 
 
 def vector_norm(space: PNormSpace, v: Vector) -> float:
@@ -284,7 +290,8 @@ def invert(m: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
     """Inverse of a square map, or :class:`Singular` if its rank falls short.
 
     The map is singular when fewer than ``dim`` singular values reach
-    ``tol * max-entry`` (see :func:`rank`); the exception carries the rank.
+    ``tol * max-entry`` (see :func:`rank`) or, at a tol below double
+    precision, when LU meets an exactly zero pivot; the exception carries the rank.
 
     The inverse is polished with a Newton step when the raw residual
     ``max-entry(A M - I)`` exceeds a fraction of ``tol``, so results stay
@@ -307,7 +314,11 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
     found = _eliminate(a, tol)
     if found < n:
         raise Singular(f"matrix is singular at tol={tol:g}: rank {found} of {n}", rank=found)
-    inv = np.linalg.inv(a)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        found = min(int(np.linalg.matrix_rank(a)), n - 1)
+        raise Singular(f"matrix is singular in double precision: rank {found} of {n}", rank=found)
     eye = np.eye(n)
     for _ in range(2):
         residual = eye - a @ inv

@@ -282,3 +282,50 @@ def test_cli_round_trip_bit_identical(files, tmp_path, capsys):
     again = load_frame(str(tmp_path / "dual2.json"))
     assert np.array_equal(again.functionals, dual.functionals)
     assert np.array_equal(again.vectors, dual.vectors)
+
+
+# ---------------------------------------------------------------------------
+# numbers at the edges of the double range
+
+
+def _doc(p, scale):
+    return {"dim": 2, "count": 2, "p": p, "q": p,
+            "functionals": [[scale, 2 * scale], [3 * scale, -scale]],
+            "vectors": [[scale, 0.5 * scale], [-2 * scale, scale]]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, scale", [(3, 1e110), (1e308, 1.0), (3, 1e-110)])
+def test_validate_generic_p_norms_do_not_overflow(tmp_path, capsys, p, scale):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(_doc(p, scale)))
+    code, out, _ = run(capsys, "validate", str(path), "--json")
+    assert code == 0
+    numbers = {item["label"]: item["value"] for item in json.loads(out)["numbers"]}
+    assert numbers["lower bound a (lower)"] > 0
+    assert numbers["lower bound a (lower)"] <= numbers["lower bound a (upper)"]
+
+
+def test_result_out_of_double_range_exits_1(tmp_path, capsys):
+    # the witness theta_omega theta_f S^-1 overflows when formed left to right
+    big = {"dim": 1, "count": 3, "p": 1, "q": 1,
+           "functionals": [[0.0], [1e300], [0.0]], "vectors": [[0.0], [1.0], [0.0]]}
+    other = dict(big, functionals=[[0.0], [1.0], [1.0]], vectors=[[0.0], [1e300], [0.0]])
+    paths = []
+    for name, doc in (("big", big), ("other", other)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "similarity", *paths, "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "FrameFormatError"
+
+
+def test_tol_below_double_precision_on_singular_frame_exits_2(tmp_path, capsys):
+    doc = {"dim": 3, "count": 3, "p": 1, "q": 1,
+           "functionals": [[0.0, 0.0, 0.0], [0.0, 1e300, 1e300], [1.0, 0.0, 0.0]],
+           "vectors": [[0.0, 0.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, -2.0]]}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(path), "--tol", "1e-300", "--json")
+    assert code == 2
+    assert json.loads(out)["verdict"].startswith("NotAFrame")

@@ -103,6 +103,29 @@ def test_non_numeric_entries_rejected():
     doc = dict(GOOD, functionals=[[1.0, True], [0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(FrameFormatError):
         frame_from_dict(doc)
+    doc = dict(GOOD, functionals=[[1.0, 10**400], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(FrameFormatError, match="must be a finite number"):
+        frame_from_dict(doc)
+
+
+def test_numbers_beyond_the_double_range_rejected(tmp_path):
+    with pytest.raises(FrameFormatError, match="field 'p'"):
+        frame_from_dict(dict(GOOD, p=-(10**400)))
+    assert math.isinf(frame_from_dict(dict(GOOD, p=10**400)).seq_space.p)
+    with pytest.raises(FrameFormatError):
+        loads_frame(json.dumps(GOOD).replace("2.0", "1" * 5000, 1))
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(FrameFormatError):
+        load_frame(path)
+
+
+def test_non_finite_frame_is_not_written(tmp_path):
+    frame = make_frame([[1.0, 0.0], [0.0, np.inf]], np.eye(2))
+    path = tmp_path / "out.json"
+    with pytest.raises(FrameFormatError):
+        save_frame(frame, path)
+    assert not path.exists()
 
 
 def test_json_infinity_token_rejected():

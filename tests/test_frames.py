@@ -14,17 +14,25 @@ from pasf import (
     Vector,
     analysis_operator,
     apply,
+    are_similar,
     basis_factorization,
+    canonical_dual,
     factorize,
     frame_operator,
     from_factorization,
+    parseval_transfer_check,
+    parsevalize,
     projection,
+    random_dual,
     random_frame,
+    random_orthogonal_parseval_pair,
     rank,
     reconstruct,
+    scalar_interpolate,
     synthesis_operator,
     validate,
 )
+from pasf import frames
 
 from helpers import (
     make_frame,
@@ -353,3 +361,57 @@ def test_basis_factorization_rejects_singular_basis():
     basis = LinearMap(frame.x_space, frame.x_space, [[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(Singular):
         basis_factorization(frame, basis)
+
+
+# ---------------------------------------------------------------------------
+# S^-1 is computed once per (frame, tol); brackets only in validate
+
+
+def test_frame_operator_is_inverted_once_per_frame_and_tol(monkeypatch):
+    inverted = []
+    real = frames._invert_frame_op
+
+    def counting(frame, tol):
+        inverted.append((frame, tol))
+        return real(frame, tol)
+
+    monkeypatch.setattr(frames, "_invert_frame_op", counting)
+    frame = random_frame(6, 9, p=3.0, seed=4)
+    validate(frame)
+    canonical_dual(frame)
+    projection(frame)
+    for seed in range(3):
+        random_dual(frame, seed)
+    assert are_similar(frame, parsevalize(frame)[0])
+    assert sum(1 for f, _ in inverted if f is frame) == 1
+    validate(frame, 1e-6)
+    assert sum(1 for f, _ in inverted if f is frame) == 2
+
+
+def test_only_validate_computes_norm_brackets(monkeypatch):
+    calls = []
+    real = frames.operator_norm
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(frames, "operator_norm", counting)
+    frame = random_frame(8, 8, 3.0)
+    f1, f2 = random_orthogonal_parseval_pair(2, 4, 3.0, seed=1)
+    scalar_interpolate(f1, f2, 0.6, 0.8, 0.6, 0.8)
+    first, second = parsevalize(frame)
+    assert parseval_transfer_check(first, second)
+    assert calls == []
+    validate(frame)
+    assert len(calls) == 2
+
+
+def test_parseval_frame_need_not_have_injective_analysis_at_relative_tol():
+    # S = T F = I exactly, yet each factor is rank deficient at tol = 1e-9
+    # relative to its own largest entry, so the flags carry information
+    # that an invertible S does not
+    report = validate(make_frame(np.diag([1.0, 1e-12]), np.diag([1.0, 1e12])))
+    assert report.parseval
+    assert not report.analysis_injective
+    assert not report.synthesis_surjective
