@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,21 +56,12 @@ class Report:
 
     command: str
     inputs: list[str]
-    verdict: str
+    verdict: str = ""
     numbers: list[dict] = field(default_factory=list)
     matrices: dict = field(default_factory=dict)
 
     def add(self, label: str, value, tol: float) -> None:
         self.numbers.append({"label": label, "value": value, "tol": tol})
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "verdict": self.verdict,
-            "numbers": self.numbers,
-            "matrices": self.matrices,
-        }
 
     def render_human(self) -> str:
         lines = [f"command: {self.command}"]
@@ -196,7 +187,7 @@ def _require_finite(report: Report) -> None:
 
 def _emit(report: Report, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report.to_json(), allow_nan=False))
+        print(json.dumps(asdict(report), allow_nan=False))
     else:
         print(report.render_human())
 
@@ -205,15 +196,14 @@ def _emit(report: Report, as_json: bool) -> None:
 # subcommands
 
 
-def _cmd_validate(args, tol: float) -> tuple[Report, int]:
+def _cmd_validate(args, tol: float, report: Report) -> int:
     frame = fileio.load_frame(args.file)
-    report = Report(command="validate", inputs=[args.file], verdict="")
     try:
         fr = frames.validate(frame, tol)
     except NotAFrame as exc:
         report.verdict = f"NotAFrame: rank {exc.rank} of {frame.dim}"
         report.add("frame operator rank", exc.rank, tol)
-        return report, EXIT_FAIL
+        return EXIT_FAIL
     report.verdict = "valid p-ASF" + (" (Parseval)" if fr.parseval else "")
     _bound_numbers(report, "lower bound a", fr.lower_bound, tol)
     _bound_numbers(report, "upper bound b", fr.upper_bound, tol)
@@ -224,15 +214,15 @@ def _cmd_validate(args, tol: float) -> tuple[Report, int]:
     if args.matrices:
         report.matrices["frame_operator"] = _matrix(fr.frame_op.entries)
         report.matrices["frame_operator_inverse"] = _matrix(fr.frame_op_inv.entries)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_canonical_dual(args, tol: float) -> tuple[Report, int]:
+def _cmd_canonical_dual(args, tol: float, report: Report) -> int:
     frame = fileio.load_frame(args.file)
     fr = frames.validate(frame, tol)
     dual = duality.canonical_dual(frame, tol)
     lo, hi = duality.canonical_dual_bounds(fr)
-    report = Report(command="canonical-dual", inputs=[args.file], verdict="canonical dual computed")
+    report.verdict = "canonical dual computed"
     _bound_numbers(report, "dual lower bound 1/b", lo, tol)
     _bound_numbers(report, "dual upper bound 1/a", hi, tol)
     if args.out:
@@ -241,55 +231,42 @@ def _cmd_canonical_dual(args, tol: float) -> tuple[Report, int]:
     else:
         report.matrices["dual_functionals"] = _matrix(dual.functionals)
         report.matrices["dual_vectors"] = _matrix(dual.vectors)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_check_dual(args, tol: float) -> tuple[Report, int]:
+def _cmd_check_dual(args, tol: float, report: Report) -> int:
     frame = fileio.load_frame(args.file1)
     cand = fileio.load_frame(args.file2)
     holds = duality.is_dual(frame, cand, tol)
-    oracle = generators.reconstruction_oracle(frame, cand, tol)
-    report = Report(
-        command="check-dual",
-        inputs=[args.file1, args.file2],
-        verdict="dual pair" if holds else "not a dual pair",
-    )
+    report.verdict = "dual pair" if holds else "not a dual pair"
     report.add("criterion", holds, tol)
-    report.add("reconstruction oracle", oracle, tol)
-    return report, EXIT_OK if holds else EXIT_FAIL
+    report.add("reconstruction oracle", generators.reconstruction_oracle(frame, cand, tol), tol)
+    return EXIT_OK if holds else EXIT_FAIL
 
 
-def _cmd_check_orthogonal(args, tol: float) -> tuple[Report, int]:
+def _cmd_check_orthogonal(args, tol: float, report: Report) -> int:
     frame1 = fileio.load_frame(args.file1)
     frame2 = fileio.load_frame(args.file2)
     holds = orthogonality.is_orthogonal(frame1, frame2, tol)
-    report = Report(
-        command="check-orthogonal",
-        inputs=[args.file1, args.file2],
-        verdict="orthogonal" if holds else "not orthogonal",
-    )
+    report.verdict = "orthogonal" if holds else "not orthogonal"
     report.add("criterion", holds, tol)
-    return report, EXIT_OK if holds else EXIT_FAIL
+    return EXIT_OK if holds else EXIT_FAIL
 
 
-def _cmd_similarity(args, tol: float) -> tuple[Report, int]:
+def _cmd_similarity(args, tol: float, report: Report) -> int:
     frame1 = fileio.load_frame(args.file1)
     frame2 = fileio.load_frame(args.file2)
     holds = similarity.are_similar(frame1, frame2, tol)
     witness = similarity.witness_from_frames(frame1, frame2, tol)
-    report = Report(
-        command="similarity",
-        inputs=[args.file1, args.file2],
-        verdict="similar" if holds else "not similar",
-    )
+    report.verdict = "similar" if holds else "not similar"
     report.add("projection criterion", holds, tol)
     report.add("witnesses invertible", witness.invertible, tol)
     report.matrices["t_fg"] = _matrix(witness.t_fg.entries)
     report.matrices["t_tau_omega"] = _matrix(witness.t_tau_omega.entries)
-    return report, EXIT_OK if holds else EXIT_FAIL
+    return EXIT_OK if holds else EXIT_FAIL
 
 
-def _cmd_interpolate(args, tol: float) -> tuple[Report, int]:
+def _cmd_interpolate(args, tol: float, report: Report) -> int:
     frame1 = fileio.load_frame(args.file1)
     frame2 = fileio.load_frame(args.file2)
     try:
@@ -297,11 +274,7 @@ def _cmd_interpolate(args, tol: float) -> tuple[Report, int]:
     except ValueError:
         raise FrameFormatError(f"--scalars must be four comma-separated numbers, got {args.scalars!r}")
     stitched = orthogonality.scalar_interpolate(frame1, frame2, a, b, c, d, tol)
-    report = Report(
-        command="interpolate",
-        inputs=[args.file1, args.file2],
-        verdict="Parseval frame stitched",
-    )
+    report.verdict = "Parseval frame stitched"
     report.add("c*a + d*b", c * a + d * b, tol)
     report.add("stitched parseval", frames._parseval(stitched, tol), tol)
     if args.out:
@@ -310,14 +283,13 @@ def _cmd_interpolate(args, tol: float) -> tuple[Report, int]:
     else:
         report.matrices["functionals"] = _matrix(stitched.functionals)
         report.matrices["vectors"] = _matrix(stitched.vectors)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_sample_duals(args, tol: float) -> tuple[Report, int]:
+def _cmd_sample_duals(args, tol: float, report: Report) -> int:
     if args.count < 0:
         raise FrameFormatError(f"--count must be >= 0, got {args.count}")
     frame = fileio.load_frame(args.file)
-    report = Report(command="sample-duals", inputs=[args.file], verdict="")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     for i in range(args.count):
@@ -329,13 +301,13 @@ def _cmd_sample_duals(args, tol: float) -> tuple[Report, int]:
         if args.out_dir:
             fileio.save_frame(cand.frame, os.path.join(args.out_dir, f"dual_{i:03d}.json"))
     report.verdict = f"{args.count} duals sampled"
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_factorize(args, tol: float) -> tuple[Report, int]:
+def _cmd_factorize(args, tol: float, report: Report) -> int:
     frame = fileio.load_frame(args.file)
     u, v = frames.factorize(frame, tol)
-    report = Report(command="factorize", inputs=[args.file], verdict="factorization computed")
+    report.verdict = "factorization computed"
     report.matrices["u"] = _matrix(u.entries)
     report.matrices["v"] = _matrix(v.entries)
     if args.out:
@@ -349,7 +321,7 @@ def _cmd_factorize(args, tol: float) -> tuple[Report, int]:
             json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
         report.verdict = f"factorization written to {args.out}"
-    return report, EXIT_OK
+    return EXIT_OK
 
 
 _COMMANDS = {
@@ -364,10 +336,10 @@ _COMMANDS = {
 }
 
 
-def _error_exit(command: str, inputs: list[str], exc: Exception, as_json: bool, code: int) -> int:
+def _error_exit(report: Report, exc: Exception, as_json: bool, code: int) -> int:
     payload = {
-        "command": command,
-        "inputs": inputs,
+        "command": report.command,
+        "inputs": report.inputs,
         "error": {"code": type(exc).__name__, "message": str(exc)},
     }
     if as_json:
@@ -381,14 +353,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     as_json = getattr(args, "json", False)
     inputs = [v for k, v in vars(args).items() if k in ("file", "file1", "file2") and v]
+    report = Report(command=args.command, inputs=inputs)
     try:
-        tol = _resolve_tol(args)
-        report, code = _COMMANDS[args.command](args, tol)
+        # every overflow ends as a false verdict, a typed error or
+        # _require_finite, so numpy's warnings would only be noise
+        with np.errstate(all="ignore"):
+            code = _COMMANDS[args.command](args, _resolve_tol(args), report)
         _require_finite(report)
     except _INPUT_ERRORS as exc:
-        return _error_exit(args.command, inputs, exc, as_json, EXIT_INPUT)
+        return _error_exit(report, exc, as_json, EXIT_INPUT)
     except PasfError as exc:
-        return _error_exit(args.command, inputs, exc, as_json, EXIT_FAIL)
+        return _error_exit(report, exc, as_json, EXIT_FAIL)
     _emit(report, as_json)
     return code
 

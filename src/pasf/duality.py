@@ -35,7 +35,7 @@ from .frames import (
     projection,
     synthesis_operator,
 )
-from .spaces import DEFAULT_TOL, LinearMap, NormBound, _eliminate
+from .spaces import DEFAULT_TOL, LinearMap, NormBound, _eliminate, _require_rank, _within
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -80,11 +80,9 @@ def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool
     """
     _require_same_spaces(frame, cand)
     eye = np.eye(frame.dim)
-    first = frame.vectors @ cand.functionals
-    second = cand.vectors @ frame.functionals
     return (
-        float(np.abs(first - eye).max()) <= tol
-        and float(np.abs(second - eye).max()) <= tol
+        _within(frame.vectors @ cand.functionals, eye, tol)
+        and _within(cand.vectors @ frame.functionals, eye, tol)
     )
 
 
@@ -132,13 +130,11 @@ def dual_from_parameters(
     """
     g = right_inverse_from(frame, u, tol).entries
     omega = left_inverse_from(frame, v, tol).entries
-    d, n = frame.dim, frame.count
+    n = frame.count
     si = _factored(frame, tol)[1].entries
     p = projection(frame, tol).entries
     gate = si + v.entries @ u.entries - v.entries @ p @ u.entries
-    found = _eliminate(gate, tol)
-    if found < d:
-        raise GateSingular(f"gate operator is singular at tol={tol:g}: rank {found} of {d}")
+    _require_rank(gate, tol, GateSingular, "gate operator")
     candidate_op = omega @ g
     drift = float(np.abs(candidate_op - gate).max())
     # agreement is limited by what rounding can achieve on the largest
@@ -153,7 +149,7 @@ def dual_from_parameters(
     )
     threshold = _CROSS_CHECK_TOL * max(1.0, float(np.abs(gate).max()))
     threshold += 32.0 * n * n * np.finfo(float).eps * summands
-    if drift > threshold:
+    if not drift <= threshold:
         raise ConsistencyError(
             f"gate operator and candidate frame operator disagree by {drift:.3e}"
         )
@@ -189,8 +185,7 @@ def has_unique_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> bool:
         return False
     if _eliminate(frame.vectors, tol) < d:
         return False
-    gram = frame.functionals @ frame.vectors
-    return float(np.abs(gram - np.eye(n)).max()) <= tol
+    return _within(frame.functionals @ frame.vectors, np.eye(n), tol)
 
 
 def canonical_dual_bounds(report: FrameReport) -> tuple[NormBound, NormBound]:

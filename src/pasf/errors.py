@@ -27,30 +27,24 @@ class NonSquare(PasfError):
     """Inversion requested for a non-square map."""
 
 
-class Singular(PasfError):
-    """Fewer singular values than the dimension reach tol * max-entry.
-
-    ``rank`` carries the numerical rank that was found.
-    """
+class _RankError(PasfError):
+    """A square map whose numerical rank fell short; ``rank`` carries it."""
 
     def __init__(self, message: str, rank: int | None = None):
         super().__init__(message)
         self.rank = rank
 
 
-class NotInvertible(PasfError):
+class Singular(_RankError):
+    """Fewer singular values than the dimension reach tol * max-entry."""
+
+
+class NotInvertible(_RankError):
     """The product V*U of a factorization pair is singular."""
 
 
-class NotAFrame(PasfError):
-    """The frame operator is singular at the configured tolerance.
-
-    ``rank`` carries the numerical rank of the frame operator.
-    """
-
-    def __init__(self, message: str, rank: int | None = None):
-        super().__init__(message)
-        self.rank = rank
+class NotAFrame(_RankError):
+    """The frame operator is singular at the configured tolerance."""
 
 
 class SpaceMismatch(PasfError):
@@ -61,7 +55,7 @@ class NotDual(PasfError):
     """The dual criterion does not hold for the given pair."""
 
 
-class GateSingular(PasfError):
+class GateSingular(_RankError):
     """The gate operator of a parameterized dual candidate is singular."""
 
 

@@ -30,6 +30,8 @@ from .spaces import (
     _eliminate,
     _freeze,
     _lp,
+    _require_rank,
+    _within,
     compose,
     invert_with_rcond,
     operator_norm,
@@ -142,7 +144,7 @@ def _factored(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float
 def _parseval(frame: FramePair, tol: float) -> bool:
     """``validate(frame, tol).parseval`` without the norm brackets."""
     s, _, _ = _factored(frame, tol)
-    return float(np.abs(s.entries - np.eye(frame.dim)).max()) <= tol
+    return _within(s.entries, np.eye(frame.dim), tol)
 
 
 def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
@@ -207,11 +209,7 @@ def from_factorization(u: LinearMap, v: LinearMap, tol: float = DEFAULT_TOL) -> 
         raise DimensionMismatch(
             f"factorization pair has incompatible shapes {u.entries.shape} and {v.entries.shape}"
         )
-    product = v.entries @ u.entries
-    d = u.domain.dim
-    found = _eliminate(product, tol)
-    if found < d:
-        raise NotInvertible(f"V U is singular at tol={tol:g}: rank {found} of {d}")
+    _require_rank(v.entries @ u.entries, tol, NotInvertible, "V U")
     return FramePair(
         x_space=u.domain,
         seq_space=u.codomain,

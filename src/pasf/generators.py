@@ -212,8 +212,9 @@ def reconstruction_oracle(frame: FramePair, cand: FramePair, tol: float = DEFAUL
         for k in range(n):
             through_cand += float(np.dot(cand.functionals[k], x)) * frame.vectors[:, k]
             through_frame += float(np.dot(frame.functionals[k], x)) * cand.vectors[:, k]
-        if float(np.abs(through_cand - x).max()) > tol:
+        # written so that NaN fails too
+        if not float(np.abs(through_cand - x).max()) <= tol:
             return False
-        if float(np.abs(through_frame - x).max()) > tol:
+        if not float(np.abs(through_frame - x).max()) <= tol:
             return False
     return True

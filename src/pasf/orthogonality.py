@@ -27,7 +27,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _factored, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, identity
+from .spaces import DEFAULT_TOL, LinearMap, _within, identity
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,10 @@ class InterpolationOperators:
 def is_orthogonal(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Operator criterion: theta_tau theta_g and theta_omega theta_f both vanish."""
     _require_same_spaces(frame1, frame2)
-    first = frame1.vectors @ frame2.functionals
-    second = frame2.vectors @ frame1.functionals
-    return float(np.abs(first).max()) <= tol and float(np.abs(second).max()) <= tol
+    return (
+        _within(frame1.vectors @ frame2.functionals, 0.0, tol)
+        and _within(frame2.vectors @ frame1.functionals, 0.0, tol)
+    )
 
 
 def interpolate(
@@ -81,7 +82,7 @@ def interpolate(
     a, b = ops.a_op.entries, ops.b_op.entries
     c, dd = ops.c_op.entries, ops.d_op.entries
     residual = float(np.abs(c @ a + dd @ b - np.eye(d)).max())
-    if residual > tol:
+    if not residual <= tol:
         raise ContractViolated(
             f"C A + D B deviates from the identity by {residual:.3e}", residual=residual
         )

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces, canonical_dual
 from .frames import FramePair, _factored, _parseval, projection
-from .spaces import DEFAULT_TOL, LinearMap, _eliminate
+from .spaces import DEFAULT_TOL, LinearMap, _eliminate, _within
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) 
     and raises :class:`ConsistencyError`.
     """
     _require_same_spaces(frame1, frame2)
-    p1 = projection(frame1, tol)
-    p2 = projection(frame2, tol)
-    similar = float(np.abs(p1.entries - p2.entries).max()) <= tol
+    similar = _within(projection(frame1, tol).entries, projection(frame2, tol).entries, tol)
     if similar:
         witness = witness_from_frames(frame1, frame2, tol)
         if not witness.invertible:
@@ -92,7 +90,7 @@ def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) 
         w_drift = float(
             np.abs(frame2.vectors - witness.t_tau_omega.entries @ frame1.vectors).max()
         )
-        if g_drift > slack or w_drift > slack:
+        if not (g_drift <= slack and w_drift <= slack):
             raise ConsistencyError(
                 f"projections agree but witness transport drifts by {max(g_drift, w_drift):.3e}"
             )
@@ -131,8 +129,8 @@ def parseval_transfer_check(
     witness = witness_from_frames(frame_parseval, frame2, tol)
     a, b = witness.t_fg.entries, witness.t_tau_omega.entries
     eye = np.eye(frame_parseval.dim)
-    by_product = float(np.abs(b @ a - eye).max()) <= tol
-    by_reverse = float(np.abs(a @ b - eye).max()) <= tol
+    by_product = _within(b @ a, eye, tol)
+    by_reverse = _within(a @ b, eye, tol)
     direct = _parseval(frame2, tol)
     if by_product != direct or by_reverse != direct:
         raise ConsistencyError(

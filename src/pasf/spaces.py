@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MixedExponents, NonSquare, Singular
+from .errors import DimensionMismatch, MixedExponents, NonSquare, Singular, _RankError
 
 #: Default relative singularity tolerance: singular values below
 #: ``tol * max-entry`` are treated as zero. Chosen for double-precision
@@ -127,9 +127,9 @@ class NormBound:
         return self.lower
 
     def reciprocal(self) -> "NormBound":
-        """Bracket of 1/x for x in this bracket (positive brackets only)."""
+        """Bracket of 1/x for x in this bracket, with 1/0 = inf and 1/inf = 0."""
         upper = INF if self.lower == 0.0 else 1.0 / self.lower
-        lower = 0.0 if self.upper == 0.0 or math.isinf(self.upper) else 1.0 / self.upper
+        lower = INF if self.upper == 0.0 else 1.0 / self.upper
         return NormBound(lower=lower, upper=upper, exact=self.exact)
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
@@ -278,6 +278,19 @@ def _eliminate(a: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) >= tol * scale))
 
 
+def _require_rank(a: np.ndarray, tol: float, error: type[_RankError], what: str) -> None:
+    """Raise ``error`` carrying the rank when square ``a`` is singular at ``tol``."""
+    n = a.shape[0]
+    found = _eliminate(a, tol)
+    if found < n:
+        raise error(f"{what} is singular at tol={tol:g}: rank {found} of {n}", rank=found)
+
+
+def _within(a: np.ndarray, b: np.ndarray | float, tol: float) -> bool:
+    """The absolute criterion test ``max|a - b| <= tol``, entrywise; NaN fails it."""
+    return float(np.abs(a - b).max()) <= tol
+
+
 def rank(m: LinearMap, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank of ``m``: singular values at or above ``tol * max-entry``.
 
@@ -290,8 +303,9 @@ def invert(m: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
     """Inverse of a square map, or :class:`Singular` if its rank falls short.
 
     The map is singular when fewer than ``dim`` singular values reach
-    ``tol * max-entry`` (see :func:`rank`) or, at a tol below double
-    precision, when LU meets an exactly zero pivot; the exception carries the rank.
+    ``tol * max-entry`` (see :func:`rank`), or in double precision, when LU
+    meets an exactly zero pivot or the inverse overflows; the exception carries
+    the rank.
 
     The inverse is polished with a Newton step when the raw residual
     ``max-entry(A M - I)`` exceeds a fraction of ``tol``, so results stay
@@ -311,12 +325,12 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
         raise NonSquare(f"cannot invert a {m.entries.shape} map")
     a = m.entries
     n = a.shape[0]
-    found = _eliminate(a, tol)
-    if found < n:
-        raise Singular(f"matrix is singular at tol={tol:g}: rank {found} of {n}", rank=found)
+    _require_rank(a, tol, Singular, "matrix")
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
+        inv = None
+    if inv is None or not np.isfinite(inv).all():
         found = min(int(np.linalg.matrix_rank(a)), n - 1)
         raise Singular(f"matrix is singular in double precision: rank {found} of {n}", rank=found)
     eye = np.eye(n)
@@ -325,7 +339,7 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
         if float(np.abs(residual).max()) <= 0.25 * tol:
             break
         polished = inv + inv @ residual
-        if float(np.abs(eye - a @ polished).max()) >= float(np.abs(residual).max()):
+        if not float(np.abs(eye - a @ polished).max()) < float(np.abs(residual).max()):
             break
         inv = polished
     norm1 = float(np.abs(a).sum(axis=0).max())

@@ -306,6 +306,7 @@ def test_validate_generic_p_norms_do_not_overflow(tmp_path, capsys, p, scale):
     assert numbers["lower bound a (lower)"] <= numbers["lower bound a (upper)"]
 
 
+@pytest.mark.filterwarnings("error")
 def test_result_out_of_double_range_exits_1(tmp_path, capsys):
     # the witness theta_omega theta_f S^-1 overflows when formed left to right
     big = {"dim": 1, "count": 3, "p": 1, "q": 1,
@@ -329,3 +330,31 @@ def test_tol_below_double_precision_on_singular_frame_exits_2(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(path), "--tol", "1e-300", "--json")
     assert code == 2
     assert json.loads(out)["verdict"].startswith("NotAFrame")
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_frame_operator_with_inverse_beyond_double_range_is_not_a_frame(tmp_path, capsys, p):
+    # S = 2.7e-11 * 1e-300 has full rank at relative tol, but 1 / S overflows
+    doc = {"dim": 1, "count": 1, "p": p, "q": p,
+           "functionals": [[2.6988241010019107e-11]], "vectors": [[1e-300]]}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(path), "--json")
+    assert code == 2
+    assert json.loads(out)["verdict"] == "NotAFrame: rank 0 of 1"
+    code, out, _ = run(capsys, "canonical-dual", str(path), "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "NotAFrame"
+
+
+@pytest.mark.filterwarnings("error")
+def test_reconstruction_oracle_rejects_overflowed_sums(tmp_path, capsys):
+    # every reconstruction sum is 1e400 - 1e400, i.e. inf - inf = NaN
+    doc = {"dim": 1, "count": 2, "p": 2, "q": 2,
+           "functionals": [[1e200], [1e200]], "vectors": [[1e200], [-1e200]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check-dual", str(path), str(path), "--json")
+    assert code == 2
+    numbers = {item["label"]: item["value"] for item in json.loads(out)["numbers"]}
+    assert numbers == {"criterion": False, "reconstruction oracle": False}

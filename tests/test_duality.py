@@ -180,8 +180,10 @@ def test_gate_singular_frozen_instance():
     frame = make_frame([[1.0], [0.0]], [[1.0, 0.0]])
     u = umap(frame, [[0.0], [-1.0]])
     v = vmap(frame, [[0.0, 1.0]])
-    with pytest.raises(GateSingular):
+    with pytest.raises(GateSingular) as info:
         dual_from_parameters(frame, u, v)
+    assert info.value.rank == 0
+    assert str(info.value) == "gate operator is singular at tol=1e-09: rank 0 of 1"
 
 
 def test_generated_duals_satisfy_criterion():

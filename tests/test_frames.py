@@ -285,8 +285,10 @@ def test_from_factorization_rejects_singular_product():
     seq = PNormSpace(2, 2.0)
     u = LinearMap(x, seq, [[1.0], [0.0]])
     v = LinearMap(seq, x, [[0.0, 1.0]])
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible) as info:
         from_factorization(u, v)
+    assert info.value.rank == 0
+    assert str(info.value) == "V U is singular at tol=1e-09: rank 0 of 1"
 
 
 def test_factorize_standard_frame():

@@ -136,6 +136,15 @@ def test_operator_contract_violation_reports_residual():
     assert info.value.residual == pytest.approx(1.0)
 
 
+def test_operator_contract_rejects_nan():
+    # a NaN residual must fail the contract, not stitch an all-NaN frame
+    frame1, frame2 = block_orthogonal_pair()
+    eye = np.eye(2)
+    with pytest.raises(ContractViolated) as info:
+        interpolate(frame1, frame2, ops_from(frame1, eye, eye, np.full((2, 2), np.nan), eye))
+    assert np.isnan(info.value.residual)
+
+
 def test_interpolate_requires_parseval_inputs():
     frame1, frame2 = block_orthogonal_pair()
     bad = make_frame(frame1.functionals, 2.0 * frame1.vectors)

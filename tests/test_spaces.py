@@ -179,6 +179,11 @@ def test_norm_bound_type_invariants():
     assert b.contains(3.0) and not b.contains(5.0)
 
 
+def test_norm_bound_reciprocal_of_zero_is_infinite():
+    r = NormBound(lower=0.0, upper=0.0, exact=True).reciprocal()
+    assert r.lower == r.upper == np.inf and r.exact
+
+
 # ---------------------------------------------------------------------------
 # inversion, rank, algebra
 
@@ -197,6 +202,13 @@ def test_invert_singular_carries_rank():
     with pytest.raises(Singular) as info:
         invert(lmap([[1, 1], [1, 1]]))
     assert info.value.rank == 1
+
+
+def test_invert_rejects_inverse_beyond_double_range():
+    # full rank at relative tol, but 1 / 2.7e-311 overflows
+    with pytest.raises(Singular) as info:
+        invert(lmap([[2.7e-311]]))
+    assert info.value.rank == 0
 
 
 def test_invert_rejects_non_square():
