@@ -86,18 +86,31 @@ def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool
     )
 
 
+def _one_sided_inverses(
+    frame: FramePair, u: LinearMap | None, v: LinearMap | None, tol: float
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+    """(R, L, S^-1, P) with P = theta_f S^-1 theta_tau formed once; R (or L)
+    is None when U (or V) is. The parameter shapes are checked first."""
+    d, n = frame.dim, frame.count
+    if u is not None and u.entries.shape != (n, d):
+        raise SpaceMismatch(f"U must map x_space into seq_space ({n} x {d}), got {u.entries.shape}")
+    if v is not None and v.entries.shape != (d, n):
+        raise SpaceMismatch(f"V must map seq_space into x_space ({d} x {n}), got {v.entries.shape}")
+    si = _factored(frame, tol)[1].entries
+    p = projection(frame, tol).entries
+    rest = np.eye(n) - p
+    r = None if u is None else frame.functionals @ si + rest @ u.entries
+    l = None if v is None else si @ frame.vectors + v.entries @ rest
+    return r, l, si, p
+
+
 def right_inverse_from(frame: FramePair, u: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
     """The right inverse R = theta_f S^-1 + (I - P) U of theta_tau.
 
     Every bounded right inverse of theta_tau has this form for some U
     from x_space into seq_space; U = 0 gives the base point theta_f S^-1.
     """
-    d, n = frame.dim, frame.count
-    if u.entries.shape != (n, d):
-        raise SpaceMismatch(f"U must map x_space into seq_space ({n} x {d}), got {u.entries.shape}")
-    _, s_inv, _ = _factored(frame, tol)
-    p = projection(frame, tol).entries
-    entries = frame.functionals @ s_inv.entries + (np.eye(n) - p) @ u.entries
+    entries = _one_sided_inverses(frame, u, None, tol)[0]
     return LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=entries)
 
 
@@ -107,12 +120,7 @@ def left_inverse_from(frame: FramePair, v: LinearMap, tol: float = DEFAULT_TOL) 
     Mirror image of :func:`right_inverse_from`; V = 0 gives the base
     point S^-1 theta_tau.
     """
-    d, n = frame.dim, frame.count
-    if v.entries.shape != (d, n):
-        raise SpaceMismatch(f"V must map seq_space into x_space ({d} x {n}), got {v.entries.shape}")
-    _, s_inv, _ = _factored(frame, tol)
-    p = projection(frame, tol).entries
-    entries = s_inv.entries @ frame.vectors + v.entries @ (np.eye(n) - p)
+    entries = _one_sided_inverses(frame, None, v, tol)[1]
     return LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=entries)
 
 
@@ -128,11 +136,8 @@ def dual_from_parameters(
     recomputed as the candidate's frame operator theta_omega theta_g and
     the two routes must agree entrywise, guarding the expansion algebra.
     """
-    g = right_inverse_from(frame, u, tol).entries
-    omega = left_inverse_from(frame, v, tol).entries
+    g, omega, si, p = _one_sided_inverses(frame, u, v, tol)
     n = frame.count
-    si = _factored(frame, tol)[1].entries
-    p = projection(frame, tol).entries
     gate = si + v.entries @ u.entries - v.entries @ p @ u.entries
     _require_rank(gate, tol, GateSingular, "gate operator")
     candidate_op = omega @ g

@@ -10,8 +10,9 @@ Operator norms are exact for p in {1, 2, inf} (max absolute column sum,
 largest singular value, max absolute row sum). For any other exponent
 the exact value is out of reach, so :func:`operator_norm` returns a
 certified bracket instead: a lower bound found by monotone dual-vector
-ascent over the unit p-sphere (restarted deterministically) and the
-interpolation upper bound ||A||_1^(1/p) * ||A||_inf^(1-1/p).
+ascent over the unit p-sphere (Boyd's l^p power method, all deterministic
+starts advancing as one block) and the interpolation upper bound
+||A||_1^(1/p) * ||A||_inf^(1-1/p).
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -137,19 +138,25 @@ class NormBound:
 
 
 def _lp(v: np.ndarray, p: float) -> float:
-    """l^p norm; for p outside {1, 2, inf} computed scaled, as
-    m * (sum (|v_i| / m)^p)^(1/p) with m = max |v_i|, so that no power
-    overflows and the largest terms never underflow, for any finite p."""
+    """l^p norm of a vector; for p outside {1, 2, inf} see :func:`_lp_rows`."""
     if p == INF:
         return float(np.abs(v).max()) if v.size else 0.0
     if p == 1.0:
         return float(np.abs(v).sum())
     if p == 2.0:
         return float(np.linalg.norm(v))
-    m = float(np.abs(v).max()) if v.size else 0.0
-    if m == 0.0 or not math.isfinite(m):
-        return m
-    return m * float(np.sum((np.abs(v) / m) ** p) ** (1.0 / p))
+    return float(_lp_rows(v, p)) if v.size else 0.0
+
+
+def _lp_rows(v: np.ndarray, p: float) -> np.ndarray:
+    """l^p norms along the last axis for 1 < p < inf, computed scaled, as
+    m * (sum (|v_i| / m)^p)^(1/p) with m = max |v_i|, so that no power
+    overflows and the largest terms never underflow, for any finite p.
+    A row whose m is 0 or not finite has norm m."""
+    m = np.abs(v).max(axis=-1)
+    scaled = (m > 0.0) & np.isfinite(m)
+    div = np.where(scaled, m, 1.0)[..., None]
+    return np.where(scaled, m * np.sum((np.abs(v) / div) ** p, axis=-1) ** (1.0 / p), m)
 
 
 def vector_norm(space: PNormSpace, v: Vector) -> float:
@@ -171,40 +178,34 @@ def _dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _dual_scaled(y: np.ndarray, p: float) -> np.ndarray:
-    # unit-q-norm vector u with u . y = ||y||_p, for 1 < p < inf
-    norm = _lp(y, p)
-    if norm == 0.0:
-        return np.zeros_like(y)
-    return np.sign(y) * (np.abs(y) / norm) ** (p - 1.0)
-
-
-def _ascent_from(a: np.ndarray, p: float, x0: np.ndarray, max_iter: int = 100) -> float:
-    """Monotone ascent of ||A x||_p over the unit p-sphere from x0.
-
-    Each step replaces x by the unit-p-norm maximizer of the linearized
-    objective, which never decreases ||A x||_p; stops at a first-order
-    stationary point.
+def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) -> float:
+    """Best ||A x||_p by monotone ascent over the unit p-sphere, from every
+    row of ``starts`` at once. Each step moves x to the unit-p-norm maximizer
+    of the linearized objective, which never decreases ||A x||_p; a row is
+    frozen, keeping its best, once a step fails to improve it, A x = 0, or
+    x is first-order stationary.
     """
     q = _dual_exponent(p)
-    nx = _lp(x0, p)
-    if nx == 0.0:
-        return 0.0
-    x = x0 / nx
-    best = 0.0
+    x = starts / _lp_rows(starts, p)[:, None]
+    best = np.zeros(len(x))
+    active = np.arange(len(x))
     for _ in range(max_iter):
-        y = a @ x
-        ynorm = _lp(y, p)
-        improved = ynorm > best * (1.0 + 1e-14)
-        best = max(best, ynorm)
-        if not improved or ynorm == 0.0:
+        xa = x[active]
+        y = xa @ a.T
+        ynorm = _lp_rows(y, p)
+        improved = ynorm > best[active] * (1.0 + 1e-14)
+        best[active] = np.fmax(best[active], ynorm)
+        keep = improved & (ynorm != 0.0)
+        active, xa, y, ynorm = active[keep], xa[keep], y[keep], ynorm[keep]
+        # z = A^T u with u the unit-q-norm vector for which u . y = ||y||_p
+        z = (np.sign(y) * (np.abs(y) / ynorm[:, None]) ** (p - 1.0)) @ a
+        zq = _lp_rows(z, q)
+        moving = ~(zq <= np.einsum("ij,ij->i", z, xa) * (1.0 + 1e-12))
+        active, z, zq = active[moving], z[moving], zq[moving]
+        if not active.size:
             break
-        z = a.T @ _dual_scaled(y, p)
-        zq = _lp(z, q)
-        if zq <= float(z @ x) * (1.0 + 1e-12):
-            break
-        x = np.sign(z) * (np.abs(z) / zq) ** (q - 1.0)
-    return best
+        x[active] = np.sign(z) * (np.abs(z) / zq[:, None]) ** (q - 1.0)
+    return float(best.max())
 
 
 # fixed 64-bit seeds for the deterministic restarts of the p-norm search
@@ -217,10 +218,11 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     """Induced operator norm of ``m`` between equal-exponent spaces.
 
     Exact for p in {1, 2, inf}. Otherwise returns a bracket: the lower
-    bound is the best value found by dual-vector ascent from ``restarts``
-    deterministic random starts (plus the all-ones vector and the best
-    coordinate direction), the upper bound is the interpolation bound
-    ||A||_1^(1/p) * ||A||_inf^(1-1/p).
+    bound is the best value of a dual-vector ascent run as one block from
+    ``max(restarts, 8)`` deterministic random starts, the all-ones vector
+    and the coordinate direction of the largest-norm column; the upper
+    bound is the interpolation bound ||A||_1^(1/p) * ||A||_inf^(1-1/p).
+    Any NaN or inf entry gives ``NormBound(nan, nan, exact=False)``.
     """
     if m.domain.p != m.codomain.p:
         raise MixedExponents(
@@ -228,6 +230,8 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
         )
     p = m.domain.p
     a = m.entries
+    if not np.isfinite(a).all():
+        return NormBound(lower=math.nan, upper=math.nan, exact=False)
     if p == 1.0:
         return _exact_bound(float(np.abs(a).sum(axis=0).max()))
     if p == INF:
@@ -242,24 +246,20 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
 
     n = a.shape[1]
-    col_norms = [_lp(a[:, j], p) for j in range(n)]
-    starts = [np.ones(n), _basis_vec(n, int(np.argmax(col_norms)))]
-    for k in range(max(restarts, 8)):
+    count = max(restarts, 8)
+    starts = np.zeros((count + 2, n))
+    starts[0] = 1.0
+    starts[1, int(np.argmax(_lp_rows(a.T, p)))] = 1.0
+    for k in range(count):
         rng = np.random.default_rng(_ASCENT_SEEDS[k % len(_ASCENT_SEEDS)] + k)
-        starts.append(rng.uniform(-1.0, 1.0, size=n))
-    lower = max(_ascent_from(a, p, x0) for x0 in starts)
+        starts[k + 2] = rng.uniform(-1.0, 1.0, size=n)
+    lower = _ascent(a, p, starts)
     upper = max(upper, lower)  # guard the bracket against roundoff crossing
     return NormBound(lower=lower, upper=upper, exact=False)
 
 
 def _exact_bound(value: float) -> NormBound:
     return NormBound(lower=value, upper=value, exact=True)
-
-
-def _basis_vec(n: int, j: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,33 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
 
 
+def lp_ascent_oracle(a: np.ndarray, p: float, x0: np.ndarray, max_iter: int = 100) -> float:
+    """Boyd's l^p power method for 1 < p < inf from the single start x0.
+
+    A plain loop over one vector with unscaled norms. It keeps the best
+    ||A x||_p seen on the unit p-sphere and stops where the documented
+    search stops: when a step improves by no more than a factor 1 + 1e-14,
+    when A x = 0, or when the dual vector A^T u certifies first-order
+    stationarity within 1e-12.
+    """
+    q = p / (p - 1.0)
+    x = np.asarray(x0, dtype=float) / lp_norm(x0, p)
+    best = 0.0
+    for _ in range(max_iter):
+        y = a @ x
+        ny = lp_norm(y, p)
+        if not ny > best * (1.0 + 1e-14) or ny == 0.0:
+            return max(best, ny)
+        best = ny
+        u = np.array([np.sign(t) * (abs(t) / ny) ** (p - 1.0) for t in y])
+        z = a.T @ u
+        nz = lp_norm(z, q)
+        if nz <= sum(zi * xi for zi, xi in zip(z, x)) * (1.0 + 1e-12):
+            return best
+        x = np.array([np.sign(t) * (abs(t) / nz) ** (q - 1.0) for t in z])
+    return best
+
+
 def rank_one_frame_operator(frame: FramePair) -> np.ndarray:
     """Frame operator as the explicit sum of rank-one terms tau_k f_k."""
     d, n = frame.dim, frame.count

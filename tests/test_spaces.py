@@ -23,8 +23,10 @@ from pasf import (
     rank,
     vector_norm,
 )
+from pasf.spaces import _ASCENT_SEEDS
 
 from helpers import (
+    lp_ascent_oracle,
     lp_norm,
     maxdiff,
     norm1_vertex_oracle,
@@ -166,6 +168,51 @@ def test_norm_bracket_is_sound_for_generic_p():
                 v = rng.matrix(1, 4)[0]
                 value = lp_norm(a @ v, p) / lp_norm(v, p)
                 assert value <= bound.upper * (1 + 1e-10)
+
+
+def documented_starts(a, p, restarts):
+    """The starts operator_norm documents: all-ones, the largest-norm column's
+    coordinate direction, then max(restarts, 8) seeded uniform draws."""
+    n = a.shape[1]
+    starts = [np.ones(n), np.eye(n)[int(np.argmax([lp_norm(a[:, j], p) for j in range(n)]))]]
+    for k in range(max(restarts, 8)):
+        rng = np.random.default_rng(_ASCENT_SEEDS[k % len(_ASCENT_SEEDS)] + k)
+        starts.append(rng.uniform(-1.0, 1.0, size=n))
+    return starts
+
+
+@pytest.mark.parametrize("restarts", [8, 12])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 5), (5, 2), (8, 8), (17, 64), (64, 17), (64, 64)])
+def test_block_ascent_matches_single_start_oracle(shape, p, restarts):
+    rows, cols = shape
+    a = PortableRng(rows * 1000 + cols).matrix(rows, cols)
+    got = operator_norm(lmap(a, p=p), restarts=restarts)
+    starts = documented_starts(a, p, restarts)
+    singles = [lp_ascent_oracle(a, p, x0) for x0 in starts]
+    best = max(singles)
+    assert abs(got.lower - best) <= 1e-12 * best
+    # the ascent never ends below the value of any start it was given
+    for x0 in starts:
+        assert got.lower >= lp_norm(a @ x0, p) / lp_norm(x0, p) * (1 - 8 * np.finfo(float).eps)
+    assert got.lower <= got.upper
+
+
+def test_block_ascent_uses_restarts_beyond_eight():
+    # on this map only starts 11 to 14 (restarts 9 to 12) climb to the best value
+    a = PortableRng(271).matrix(8, 8)
+    singles = [lp_ascent_oracle(a, 1.5, x0) for x0 in documented_starts(a, 1.5, 12)]
+    assert max(singles[10:]) > max(singles[:10]) * (1 + 1e-9)
+    assert operator_norm(lmap(a, p=1.5), restarts=8).lower < max(singles) * (1 - 1e-9)
+    assert operator_norm(lmap(a, p=1.5), restarts=12).lower == pytest.approx(max(singles), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_norm_of_non_finite_map_is_nan_bracket(p, bad):
+    got = operator_norm(lmap([[bad, 1.0], [0.0, 1.0]], p=p))
+    assert np.isnan(got.lower) and np.isnan(got.upper) and not got.exact
+    assert not got.contains(1.0)
 
 
 def test_norm_bound_type_invariants():
