@@ -91,12 +91,24 @@ def _matrix(arr: np.ndarray) -> list[list[float]]:
     return np.asarray(arr, dtype=float).tolist()
 
 
+class UsageError(Exception):
+    """A command line argparse rejects; ``parser`` is the one that rejected it."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
+        super().__init__(message)
+        self.parser = parser
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the exit-code contract reserves
-    # 2 for property failures, so remap usage errors to 1.
+    # 2 for property failures, so main reports usage errors with exit 1.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+        raise UsageError(message, self)
+
+
+def _wants_json(argv: list[str]) -> bool:
+    """Whether ``argv`` asks for ``--json``, as argparse reads it (any prefix of at least ``--j``)."""
+    return any(len(arg) > 2 and "--json".startswith(arg) for arg in argv)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,7 +362,17 @@ def _error_exit(report: Report, exc: Exception, as_json: bool, code: int) -> int
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        if _wants_json(argv):
+            command = argv[0] if argv[0] in _COMMANDS else ""
+            _error_exit(Report(command=command, inputs=[]), exc, True, EXIT_INPUT)
+        else:
+            exc.parser.print_usage(sys.stderr)
+            print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT) from None
     as_json = getattr(args, "json", False)
     inputs = [v for k, v in vars(args).items() if k in ("file", "file1", "file2") and v]
     report = Report(command=args.command, inputs=inputs)

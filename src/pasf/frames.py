@@ -121,8 +121,11 @@ def frame_operator(frame: FramePair) -> LinearMap:
 
 
 def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float]:
-    s = frame_operator(frame)
     try:
+        # a non-finite entry has rank 0; rejected before S = T F, whose inf - inf is NaN
+        if not (np.isfinite(frame.functionals).all() and np.isfinite(frame.vectors).all()):
+            raise Singular("frame has a non-finite entry", rank=0)
+        s = frame_operator(frame)
         s_inv, rcond = invert_with_rcond(s, tol)
     except Singular as exc:
         raise NotAFrame(

@@ -22,6 +22,8 @@ the operator-composition criterion it corroborates.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import GateSingular, GenerationFailed, InsufficientCoordinates, NotAFrame
@@ -39,6 +41,29 @@ _INC = 1442695040888963407
 #: Frames are resampled until their reciprocal condition reaches this.
 _MIN_RCOND = 1e-6
 _MAX_REJECTS = 100
+
+
+@functools.lru_cache(maxsize=64)
+def _jump_table(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The affine maps that advance the LCG by k = 1..count steps:
+    state_k = mult[k-1] * state + inc[k-1] with mult = MULT^k and
+    inc = INC * (MULT^(k-1) + ... + 1), all mod 2^64. They do not depend on
+    the state, so they are built once per ``count``, by doubling, and
+    returned read-only."""
+    mult = np.empty(count, dtype=np.uint64)
+    inc = np.empty(count, dtype=np.uint64)
+    mult[0], inc[0] = _MULT, _INC
+    # (m, c) advances `filled` steps; entry filled + k is entry k applied after it
+    m, c, filled = _MULT, _INC, 1
+    while filled < count:
+        take = min(filled, count - filled)
+        mult[filled:filled + take] = mult[:take] * np.uint64(m)
+        inc[filled:filled + take] = mult[:take] * np.uint64(c) + inc[:take]
+        m, c = (m * m) & _MASK64, (m * c + c) & _MASK64
+        filled += take
+    mult.setflags(write=False)
+    inc.setflags(write=False)
+    return mult, inc
 
 
 class PortableRng:
@@ -73,22 +98,15 @@ class PortableRng:
         """rows x cols matrix with entries uniform in [-scale, scale), row-major fill.
 
         Bit-identical to ``scale * uniform_signed()`` called rows * cols
-        times, but vectorised: the LCG states are produced by doubling
-        jump-ahead in uint64 (which wraps mod 2^64), then shuffled and
-        mapped to doubles as whole arrays.
+        times, but vectorised: the LCG states are one affine map of the
+        current state each (see :func:`_jump_table`), in uint64, which wraps
+        mod 2^64, then shuffled and mapped to doubles as whole arrays.
         """
         count = rows * cols
         if count == 0:
             return np.zeros((rows, cols))
-        states = np.empty(count, dtype=np.uint64)
-        states[0] = (self._state * _MULT + _INC) & _MASK64
-        # (mult, inc) is the affine LCG map that advances `filled` steps
-        mult, inc, filled = _MULT, _INC, 1
-        while filled < count:
-            take = min(filled, count - filled)
-            states[filled:filled + take] = states[:take] * np.uint64(mult) + np.uint64(inc)
-            mult, inc = (mult * mult) & _MASK64, (mult * inc + inc) & _MASK64
-            filled += take
+        mult, inc = _jump_table(count)
+        states = mult * np.uint64(self._state) + inc
         self._state = int(states[-1])
         x = states ^ (states >> np.uint64(30))
         x *= np.uint64(0xBF58476D1CE4E5B9)

@@ -60,7 +60,8 @@ def witness_from_frames(
     _, s_inv, _ = _factored(frame1, tol)
     si = s_inv.entries
     t_fg = si @ frame1.vectors @ frame2.functionals
-    t_tw = frame2.vectors @ frame1.functionals @ si
+    # f S^-1 first, so a witness near the top of the double range stays finite
+    t_tw = frame2.vectors @ (frame1.functionals @ si)
     d, space = frame1.dim, frame1.x_space
     return SimilarityWitness(
         t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),

@@ -20,6 +20,7 @@ so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,36 +183,70 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
     """Best ||A x||_p by monotone ascent over the unit p-sphere, from every
     row of ``starts`` at once. Each step moves x to the unit-p-norm maximizer
     of the linearized objective, which never decreases ||A x||_p; a row is
-    frozen, keeping its best, once a step fails to improve it, A x = 0, or
-    x is first-order stationary.
+    frozen, keeping its best, once a step fails to improve it by more than
+    a factor 1 + 1e-14, A x = 0, or x is first-order stationary within 1e-12.
+
+    Each half-step raises every entry to one power: with r = |v| / m for m
+    the row's largest |v_i| and s = r^(e-1) . r, the norm is m s^(1/e), and
+    the next dual or primal vector is copysign(r^(e-1), v) times the row
+    factor s^(1/e) / s. The factor commutes with the matrix product, so it
+    is kept apart (``cx`` for x) or, for u, cancels from the stationarity
+    test. Rows that stop leave the block; ``done`` keeps their best.
     """
     q = _dual_exponent(p)
-    x = starts / _lp_rows(starts, p)[:, None]
+    # keeps every m > 0: a zero row (A x = 0 or A^T u = 0) divides to r = 0,
+    # so its norm is 0 and a stopping test freezes it, with no 0 / 0 formed
+    floor = math.ulp(0.0)
+    x = starts
+    cx = 1.0 / _lp_rows(starts, p)
     best = np.zeros(len(x))
-    active = np.arange(len(x))
+    done = 0.0
     for _ in range(max_iter):
-        xa = x[active]
-        y = xa @ a.T
-        ynorm = _lp_rows(y, p)
-        improved = ynorm > best[active] * (1.0 + 1e-14)
-        best[active] = np.fmax(best[active], ynorm)
-        keep = improved & (ynorm != 0.0)
-        active, xa, y, ynorm = active[keep], xa[keep], y[keep], ynorm[keep]
-        # z = A^T u with u the unit-q-norm vector for which u . y = ||y||_p
-        z = (np.sign(y) * (np.abs(y) / ynorm[:, None]) ** (p - 1.0)) @ a
-        zq = _lp_rows(z, q)
-        moving = ~(zq <= np.einsum("ij,ij->i", z, xa) * (1.0 + 1e-12))
-        active, z, zq = active[moving], z[moving], zq[moving]
-        if not active.size:
-            break
-        x[active] = np.sign(z) * (np.abs(z) / zq[:, None]) ** (q - 1.0)
-    return float(best.max())
+        y = x @ a.T
+        r = np.abs(y)
+        m = r.max(axis=1, initial=floor)
+        r /= m[:, None]
+        w = r ** (p - 1.0)
+        s = np.einsum("ij,ij->i", w, r)
+        ynorm = cx * m * s ** (1.0 / p)
+        improved = ynorm > best * (1.0 + 1e-14)
+        best = np.fmax(best, ynorm)
+        # z = A^T u, short of u's row factor, for the unit-q-norm u with u . y = ||y||_p
+        z = np.copysign(w, y) @ a
+        r = np.abs(z)
+        m = r.max(axis=1, initial=floor)
+        r /= m[:, None]
+        w = r ** (q - 1.0)
+        s = np.einsum("ij,ij->i", w, r)
+        # a row moves on while it improved and ||z||_q > z . x (1 + 1e-12)
+        moving = improved & (m * s ** (1.0 / q) > cx * np.einsum("ij,ij->i", z, x) * (1.0 + 1e-12))
+        # count_nonzero is the cheapest all-rows test on these short vectors
+        if np.count_nonzero(moving) < moving.size:
+            done = max(done, best[~moving].max())
+            best, z, w, s = best[moving], z[moving], w[moving], s[moving]
+            if not s.size:
+                break
+        x = np.copysign(w, z)
+        cx = s ** (1.0 / q) / s
+    return float(max(done, best.max(initial=0.0)))
 
 
 # fixed 64-bit seeds for the deterministic restarts of the p-norm search
 _ASCENT_SEEDS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
                  0xD6E8FEB86659FD93, 0xA5A5A5A5A5A5A5A5, 0x0123456789ABCDEF,
                  0xFEDCBA9876543210, 0x2545F4914F6CDD1D)
+
+
+@functools.lru_cache(maxsize=64)
+def _seeded_starts(n: int, count: int) -> np.ndarray:
+    """The ``count`` seeded uniform starts in [-1, 1)^n, built once per
+    (n, count) and returned read-only."""
+    starts = np.empty((count, n))
+    for k in range(count):
+        rng = np.random.default_rng(_ASCENT_SEEDS[k % len(_ASCENT_SEEDS)] + k)
+        starts[k] = rng.uniform(-1.0, 1.0, size=n)
+    starts.setflags(write=False)
+    return starts
 
 
 def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
@@ -250,9 +285,7 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     starts = np.zeros((count + 2, n))
     starts[0] = 1.0
     starts[1, int(np.argmax(_lp_rows(a.T, p)))] = 1.0
-    for k in range(count):
-        rng = np.random.default_rng(_ASCENT_SEEDS[k % len(_ASCENT_SEEDS)] + k)
-        starts[k + 2] = rng.uniform(-1.0, 1.0, size=n)
+    starts[2:] = _seeded_starts(n, count)
     lower = _ascent(a, p, starts)
     upper = max(upper, lower)  # guard the bracket against roundoff crossing
     return NormBound(lower=lower, upper=upper, exact=False)

@@ -271,6 +271,21 @@ def test_usage_error_exits_1(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "a.json", "--json", "--bogus"],
+    ["sample-duals", "a.json", "--count", "x", "--json"],
+])
+def test_usage_error_under_json_emits_one_error_object(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)  # fails on anything but one JSON object
+    assert payload["command"] == argv[0] and payload["inputs"] == []
+    assert payload["error"]["code"] == "UsageError"
+    assert captured.err == ""
+
+
 def test_cli_round_trip_bit_identical(files, tmp_path, capsys):
     frame_path = str(tmp_path / "frame.json")
     frame = random_frame(3, 6, p=1.5, q=3.0, seed=11)
@@ -308,9 +323,9 @@ def test_validate_generic_p_norms_do_not_overflow(tmp_path, capsys, p, scale):
 
 @pytest.mark.filterwarnings("error")
 def test_result_out_of_double_range_exits_1(tmp_path, capsys):
-    # the witness theta_omega theta_f S^-1 overflows when formed left to right
+    # S = 1e-300, so the witness theta_omega theta_f S^-1 is 1e300 * 1e300 = 1e600
     big = {"dim": 1, "count": 3, "p": 1, "q": 1,
-           "functionals": [[0.0], [1e300], [0.0]], "vectors": [[0.0], [1.0], [0.0]]}
+           "functionals": [[0.0], [1.0], [0.0]], "vectors": [[0.0], [1e-300], [0.0]]}
     other = dict(big, functionals=[[0.0], [1.0], [1.0]], vectors=[[0.0], [1e300], [0.0]])
     paths = []
     for name, doc in (("big", big), ("other", other)):

@@ -70,6 +70,16 @@ def test_witness_for_canonical_dual_is_inverse_frame_operator():
     assert maxdiff(w.t_tau_omega.entries, s_inv) <= 1e-9 * max(1.0, np.abs(s_inv).max())
 
 
+def test_witness_near_the_top_of_the_double_range_stays_finite():
+    # theta_omega theta_f S^-1 = 1e300 * 1e300 * 1e-300 overflows when formed left to right
+    frame1 = make_frame([[0.0], [1e300], [0.0]], [[0.0, 1.0, 0.0]], p=1.0)
+    frame2 = make_frame([[0.0], [1.0], [1.0]], [[0.0, 1e300, 0.0]], p=1.0)
+    w = witness_from_frames(frame1, frame2)
+    assert w.t_tau_omega.entries[0, 0] == pytest.approx(1e300, rel=1e-15)
+    assert w.t_fg.entries[0, 0] == pytest.approx(1e-300, rel=1e-15)
+    assert w.invertible
+
+
 def test_witness_requires_same_spaces():
     with pytest.raises(SpaceMismatch):
         witness_from_frames(standard_frame(2), standard_frame(3))

@@ -182,7 +182,7 @@ def documented_starts(a, p, restarts):
 
 
 @pytest.mark.parametrize("restarts", [8, 12])
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 3.0, 1.01, 50.0])
 @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (5, 2), (8, 8), (17, 64), (64, 17), (64, 64)])
 def test_block_ascent_matches_single_start_oracle(shape, p, restarts):
     rows, cols = shape
@@ -205,6 +205,37 @@ def test_block_ascent_uses_restarts_beyond_eight():
     assert max(singles[10:]) > max(singles[:10]) * (1 + 1e-9)
     assert operator_norm(lmap(a, p=1.5), restarts=8).lower < max(singles) * (1 - 1e-9)
     assert operator_norm(lmap(a, p=1.5), restarts=12).lower == pytest.approx(max(singles), rel=1e-12)
+
+
+RANK_ONE = np.outer([1.0, 2.0, -1.0], [1.0, -2.0, 1.0])
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 3.0, 50.0])
+@pytest.mark.parametrize("a", [
+    RANK_ONE,  # the all-ones start lies in its kernel, so A x = 0 freezes that row
+    np.array([[3.0, 0.0, -1.0], [1.0, 0.0, 2.0], [-2.0, 0.0, 1.0]]),  # a zero column
+], ids=["rank-one", "zero-column"])
+def test_block_ascent_on_degenerate_maps_matches_single_start_oracle(a, p):
+    got = operator_norm(lmap(a, p=p))
+    singles = [lp_ascent_oracle(a, p, x0) for x0 in documented_starts(a, p, 8)]
+    assert abs(got.lower - max(singles)) <= 1e-12 * max(singles)
+    assert got.lower <= got.upper
+    if a is RANK_ONE:
+        assert min(singles) == 0.0
+        # ||b c^T||_p = ||b||_p ||c||_q, attained at one step
+        exact = lp_norm(np.array([1.0, 2.0, -1.0]), p) * lp_norm(np.array([1.0, -2.0, 1.0]), p / (p - 1.0))
+        assert got.lower == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+@pytest.mark.parametrize("p", [1.01, 1.5, 3.0, 50.0])
+def test_operator_norm_bracket_scales_with_powers_of_two(p, k):
+    # multiplying by 2^k is exact in double precision, and the norm is homogeneous
+    a = PortableRng(4242).matrix(16, 16)
+    base = operator_norm(lmap(a, p=p))
+    scaled = operator_norm(lmap(np.ldexp(a, k), p=p))
+    assert scaled.lower == pytest.approx(np.ldexp(base.lower, k), rel=1e-12)
+    assert scaled.upper == pytest.approx(np.ldexp(base.upper, k), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
