@@ -139,7 +139,8 @@ def dual_from_parameters(
     g, omega, si, p = _one_sided_inverses(frame, u, v, tol)
     n = frame.count
     gate = si + v.entries @ u.entries - v.entries @ p @ u.entries
-    _require_rank(gate, tol, GateSingular, "gate operator")
+    # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
+    _require_rank(gate, tol, GateSingular, "gate operator", _factored(frame, tol)[0].entries)
     candidate_op = omega @ g
     drift = float(np.abs(candidate_op - gate).max())
     # agreement is limited by what rounding can achieve on the largest

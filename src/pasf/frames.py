@@ -27,8 +27,8 @@ from .spaces import (
     NormBound,
     PNormSpace,
     Vector,
-    _eliminate,
     _freeze,
+    _full_rank,
     _lp,
     _require_rank,
     _within,
@@ -155,19 +155,25 @@ def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
 
     Raises :class:`NotAFrame` (carrying the rank of S) when the frame
     operator is singular at ``tol``. Injectivity of theta_f and
-    surjectivity of theta_tau are corroborated independently through
-    numerical ranks rather than inferred from the invertibility of S.
+    surjectivity of theta_tau are the numerical-rank verdicts of
+    theta_f and theta_tau themselves, not inferred from the invertibility
+    of S; a full rank may be certified from the one-sided inverses
+    S^-1 theta_tau and theta_f S^-1, but the verdict is always the SVD
+    rule's (see :func:`~pasf.spaces.rank`).
     """
     s, s_inv, rcond = _factored(frame, tol)
-    d = frame.dim
+    f, t, si = frame.functionals, frame.vectors, s_inv.entries
+    # a one-sided inverse past the double range proves nothing; the SVD decides then
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = si @ t, f @ si
     return FrameReport(
         frame_op=s,
         frame_op_inv=s_inv,
         lower_bound=operator_norm(s_inv).reciprocal(),
         upper_bound=operator_norm(s),
         parseval=_parseval(frame, tol),
-        analysis_injective=_eliminate(frame.functionals, tol) == d,
-        synthesis_surjective=_eliminate(frame.vectors, tol) == d,
+        analysis_injective=_full_rank(f, tol, left),
+        synthesis_surjective=_full_rank(t, tol, right),
         rcond=rcond,
     )
 

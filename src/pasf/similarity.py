@@ -29,7 +29,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces, canonical_dual
 from .frames import FramePair, _factored, _parseval, projection
-from .spaces import DEFAULT_TOL, LinearMap, _eliminate, _within
+from .spaces import DEFAULT_TOL, LinearMap, _full_rank, _within
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,9 @@ def witness_from_frames(
 
     Always computable; ``invertible`` is False when either candidate map
     has rank below dim at ``tol``, which callers can use to inspect near
-    misses.
+    misses. When frame2's S^-1 is already known at ``tol``, the reverse
+    witnesses from frame2 to frame1 may certify full rank; the SVD
+    decides otherwise.
     """
     _require_same_spaces(frame1, frame2)
     _, s_inv, _ = _factored(frame1, tol)
@@ -62,11 +64,18 @@ def witness_from_frames(
     t_fg = si @ frame1.vectors @ frame2.functionals
     # f S^-1 first, so a witness near the top of the double range stays finite
     t_tw = frame2.vectors @ (frame1.functionals @ si)
-    d, space = frame1.dim, frame1.x_space
+    rev_fg = rev_tw = None
+    if tol in frame2._inverses:
+        si2 = frame2._inverses[tol][1].entries
+        # a reverse witness past the double range proves nothing; the SVD decides then
+        with np.errstate(over="ignore", invalid="ignore"):
+            rev_fg = si2 @ frame2.vectors @ frame1.functionals
+            rev_tw = frame1.vectors @ (frame2.functionals @ si2)
+    space = frame1.x_space
     return SimilarityWitness(
         t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),
         t_tau_omega=LinearMap(domain=space, codomain=space, entries=t_tw),
-        invertible=_eliminate(t_fg, tol) == d and _eliminate(t_tw, tol) == d,
+        invertible=_full_rank(t_fg, tol, rev_fg) and _full_rank(t_tw, tol, rev_tw),
     )
 
 

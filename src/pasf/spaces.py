@@ -4,7 +4,9 @@ This is the numeric substrate for the whole package: coordinate spaces
 carrying an l^p norm (p in [1, inf], inf represented by ``math.inf``),
 immutable vectors and matrices living on them, numerical rank from the
 singular values (one LAPACK call), inversion guarded by that rank, and
-induced operator p-norms.
+induced operator p-norms. Where an approximate inverse is already at
+hand, a residual bound proves full rank without the SVD, and only when
+the SVD would find it too.
 
 Operator norms are exact for p in {1, 2, inf} (max absolute column sum,
 largest singular value, max absolute row sum). For any other exponent
@@ -35,6 +37,9 @@ DEFAULT_TOL = 1e-9
 
 #: Sentinel for the sup-norm exponent.
 INF = math.inf
+
+_EPS = float(np.finfo(float).eps)
+_MAX_DOUBLE = float(np.finfo(float).max)
 
 
 def _valid_exponent(p: float) -> bool:
@@ -183,8 +188,8 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
     """Best ||A x||_p by monotone ascent over the unit p-sphere, from every
     row of ``starts`` at once. Each step moves x to the unit-p-norm maximizer
     of the linearized objective, which never decreases ||A x||_p; a row is
-    frozen, keeping its best, once a step fails to improve it by more than
-    a factor 1 + 1e-14, A x = 0, or x is first-order stationary within 1e-12.
+    frozen, keeping its best, once x is first-order stationary within 1e-12,
+    A x = 0 included, or after ``max_iter`` steps.
 
     Each half-step raises every entry to one power: with r = |v| / m for m
     the row's largest |v_i| and s = r^(e-1) . r, the norm is m s^(1/e), and
@@ -195,7 +200,7 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
     """
     q = _dual_exponent(p)
     # keeps every m > 0: a zero row (A x = 0 or A^T u = 0) divides to r = 0,
-    # so its norm is 0 and a stopping test freezes it, with no 0 / 0 formed
+    # so its norm is 0 and the stationarity test freezes it, with no 0 / 0 formed
     floor = math.ulp(0.0)
     x = starts
     cx = 1.0 / _lp_rows(starts, p)
@@ -209,7 +214,6 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
         w = r ** (p - 1.0)
         s = np.einsum("ij,ij->i", w, r)
         ynorm = cx * m * s ** (1.0 / p)
-        improved = ynorm > best * (1.0 + 1e-14)
         best = np.fmax(best, ynorm)
         # z = A^T u, short of u's row factor, for the unit-q-norm u with u . y = ||y||_p
         z = np.copysign(w, y) @ a
@@ -218,8 +222,8 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
         r /= m[:, None]
         w = r ** (q - 1.0)
         s = np.einsum("ij,ij->i", w, r)
-        # a row moves on while it improved and ||z||_q > z . x (1 + 1e-12)
-        moving = improved & (m * s ** (1.0 / q) > cx * np.einsum("ij,ij->i", z, x) * (1.0 + 1e-12))
+        # a row moves on while ||z||_q > z . x (1 + 1e-12)
+        moving = m * s ** (1.0 / q) > cx * np.einsum("ij,ij->i", z, x) * (1.0 + 1e-12)
         # count_nonzero is the cheapest all-rows test on these short vectors
         if np.count_nonzero(moving) < moving.size:
             done = max(done, best[~moving].max())
@@ -258,6 +262,11 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     and the coordinate direction of the largest-norm column; the upper
     bound is the interpolation bound ||A||_1^(1/p) * ||A||_inf^(1-1/p).
     Any NaN or inf entry gives ``NormBound(nan, nan, exact=False)``.
+
+    The sums and the search run on A scaled by the power of two 2^-e that
+    brings max|a_ij| into [1/2, 1), which is exact, so no step overflows;
+    their results are scaled back by 2^e, a sum past the double range to
+    inf and the search's lower bound to the largest double.
     """
     if m.domain.p != m.codomain.p:
         raise MixedExponents(
@@ -267,15 +276,17 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     a = m.entries
     if not np.isfinite(a).all():
         return NormBound(lower=math.nan, upper=math.nan, exact=False)
-    if p == 1.0:
-        return _exact_bound(float(np.abs(a).sum(axis=0).max()))
-    if p == INF:
-        return _exact_bound(float(np.abs(a).sum(axis=1).max()))
     if p == 2.0:
         return _exact_bound(float(np.linalg.norm(a, 2)))
+    e = math.frexp(float(np.abs(a).max()))[1]
+    a = np.ldexp(a, -e)
+    n1 = _ldexp(float(np.abs(a).sum(axis=0).max()), e)
+    ninf = _ldexp(float(np.abs(a).sum(axis=1).max()), e)
+    if p == 1.0:
+        return _exact_bound(n1)
+    if p == INF:
+        return _exact_bound(ninf)
 
-    n1 = float(np.abs(a).sum(axis=0).max())
-    ninf = float(np.abs(a).sum(axis=1).max())
     if n1 == 0.0 or ninf == 0.0:
         return NormBound(lower=0.0, upper=0.0, exact=False)
     upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
@@ -286,9 +297,17 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     starts[0] = 1.0
     starts[1, int(np.argmax(_lp_rows(a.T, p)))] = 1.0
     starts[2:] = _seeded_starts(n, count)
-    lower = _ascent(a, p, starts)
+    lower = min(_ldexp(_ascent(a, p, starts), e), _MAX_DOUBLE)
     upper = max(upper, lower)  # guard the bracket against roundoff crossing
     return NormBound(lower=lower, upper=upper, exact=False)
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, or inf where that leaves the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return INF
 
 
 def _exact_bound(value: float) -> NormBound:
@@ -311,8 +330,68 @@ def _eliminate(a: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) >= tol * scale))
 
 
-def _require_rank(a: np.ndarray, tol: float, error: type[_RankError], what: str) -> None:
-    """Raise ``error`` carrying the rank when square ``a`` is singular at ``tol``."""
+#: Rounding allowance c of the full-rank certificate, in units of
+#: (dimension) * eps * ||a||_F: it covers forming the residual and the
+#: SVD's own error in the singular values that :func:`_eliminate` counts.
+_CERT_SLACK = 8.0
+
+
+def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None,
+               residual: np.ndarray | None = None) -> bool:
+    """Whether the approximate one-sided inverse ``inv`` proves that
+    :func:`_eliminate` finds ``a`` of full rank at ``tol``, with no SVD.
+
+    With R = I - inv @ a for a tall ``a`` and R = I - a @ inv otherwise
+    (``residual``, when the caller has formed it already), the smallest
+    singular value is at least (1 - ||R|| - rho) / ||inv|| in Frobenius
+    norms, where rho = c (n + 2) eps ||a|| ||inv|| bounds the rounding in
+    R (S. M. Rump, Acta Numerica 19, 2010). The answer is True only when
+    that bound clears both 2 tol max|a| and tol max|a| + c n eps ||a||, the
+    second past the SVD's own error (Golub and Van Loan, section 8.6), so
+    the SVD could not have counted a value below the threshold. False
+    means "not proved", never "singular": a missing, non-finite or poor
+    ``inv`` gives False. Everything runs on a and inv scaled by 2^-e and
+    2^e, which is exact and keeps every product finite.
+    """
+    if inv is None:
+        return False
+    scale = float(np.abs(a).max())
+    xmax = float(np.abs(inv).max())
+    if not (0.0 < scale < INF and 0.0 < xmax < INF):
+        return False
+    e = math.frexp(scale)[1]
+    # ||a|| ||inv|| >= 2^(e + ex - 2), and past 2^50 no bound clears c n eps ||a||
+    if e + math.frexp(xmax)[1] > 52:
+        return False
+    a, inv = np.ldexp(a, -e), np.ldexp(inv, e)
+    if residual is None:
+        product = inv @ a if a.shape[0] > a.shape[1] else a @ inv
+        residual = np.eye(len(product)) - product
+    r = float(np.linalg.norm(residual))
+    if not r < 0.5:
+        return False
+    n = max(a.shape)
+    unit = _CERT_SLACK * _EPS * float(np.linalg.norm(a))  # c eps ||a||
+    xnorm = float(np.linalg.norm(inv))
+    bound = (1.0 - r - unit * (n + 2) * xnorm) / xnorm
+    threshold = tol * math.ldexp(scale, -e)
+    return bound >= 2.0 * threshold and bound >= threshold + unit * n
+
+
+def _full_rank(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
+    """``_eliminate(a, tol) == min(a.shape)``, proved from the approximate
+    one-sided inverse ``inv`` when :func:`_certified` can, and decided by
+    the SVD otherwise."""
+    return _certified(a, tol, inv) or _eliminate(a, tol) == min(a.shape)
+
+
+def _require_rank(a: np.ndarray, tol: float, error: type[_RankError], what: str,
+                  inv: np.ndarray | None = None, residual: np.ndarray | None = None) -> None:
+    """Raise ``error`` carrying the rank when square ``a`` is singular at
+    ``tol``; an approximate inverse ``inv`` (and its ``residual``) that
+    :func:`_certified` accepts settles it with no SVD."""
+    if _certified(a, tol, inv, residual):
+        return
     n = a.shape[0]
     found = _eliminate(a, tol)
     if found < n:
@@ -340,9 +419,12 @@ def invert(m: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
     meets an exactly zero pivot or the inverse overflows; the exception carries
     the rank.
 
-    The inverse is polished with a Newton step when the raw residual
-    ``max-entry(A M - I)`` exceeds a fraction of ``tol``, so results stay
-    usable up to condition numbers around 1e6.
+    A map with a NaN or inf entry is rejected first, with rank 0. Then LU
+    inverts the map, and the inverse is polished with a Newton step when
+    the raw residual ``max-entry(A M - I)`` exceeds a fraction of ``tol``,
+    so results stay usable up to condition numbers around 1e6. Last, the
+    polished inverse and its residual certify full rank when they can
+    (see ``_certified``); only when they cannot does the SVD decide it.
     """
     inv, _ = invert_with_rcond(m, tol)
     return inv
@@ -358,23 +440,27 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
         raise NonSquare(f"cannot invert a {m.entries.shape} map")
     a = m.entries
     n = a.shape[0]
-    _require_rank(a, tol, Singular, "matrix")
+    if not np.isfinite(a).all():
+        _require_rank(a, tol, Singular, "matrix")  # rank 0, so it raises
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         inv = None
     if inv is None or not np.isfinite(inv).all():
+        _require_rank(a, tol, Singular, "matrix")
         found = min(int(np.linalg.matrix_rank(a)), n - 1)
         raise Singular(f"matrix is singular in double precision: rank {found} of {n}", rank=found)
     eye = np.eye(n)
+    residual = eye - a @ inv
     for _ in range(2):
-        residual = eye - a @ inv
         if float(np.abs(residual).max()) <= 0.25 * tol:
             break
         polished = inv + inv @ residual
-        if not float(np.abs(eye - a @ polished).max()) < float(np.abs(residual).max()):
+        after = eye - a @ polished
+        if not float(np.abs(after).max()) < float(np.abs(residual).max()):
             break
-        inv = polished
+        inv, residual = polished, after
+    _require_rank(a, tol, Singular, "matrix", inv, residual)
     norm1 = float(np.abs(a).sum(axis=0).max())
     inorm1 = float(np.abs(inv).sum(axis=0).max())
     rcond = 1.0 / (norm1 * inorm1) if norm1 * inorm1 > 0 else 0.0

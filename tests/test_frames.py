@@ -31,8 +31,9 @@ from pasf import (
     scalar_interpolate,
     synthesis_operator,
     validate,
+    witness_from_frames,
 )
-from pasf import frames
+from pasf import frames, spaces
 
 from helpers import (
     make_frame,
@@ -418,3 +419,29 @@ def test_parseval_frame_need_not_have_injective_analysis_at_relative_tol():
     assert report.parseval
     assert not report.analysis_injective
     assert not report.synthesis_surjective
+
+
+def test_pipeline_on_a_well_conditioned_frame_certifies_every_full_rank(monkeypatch):
+    # every map whose rank is decided here is far from singular, and each
+    # comes with an inverse the library already holds, so no SVD runs
+    eliminated = []
+    real = spaces._eliminate
+
+    def counting(a, tol):
+        eliminated.append(a.shape)
+        return real(a, tol)
+
+    monkeypatch.setattr(spaces, "_eliminate", counting)
+    frame = random_frame(16, 16, p=2.0, seed=7)
+    report = validate(frame)
+    assert report.analysis_injective and report.synthesis_surjective
+    # a tall theta_f and a wide theta_tau, each with its one-sided inverse
+    report = validate(random_frame(8, 12, p=2.0, seed=7))
+    assert report.analysis_injective and report.synthesis_surjective
+    for seed in range(3):
+        random_dual(frame, seed)
+    assert are_similar(frame, parsevalize(frame)[0])
+    assert eliminated == []
+    # a witness whose frame2 was never inverted goes to the SVD
+    assert witness_from_frames(frame, parsevalize(frame)[1]).invertible
+    assert len(eliminated) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from pasf import (
     rank,
     vector_norm,
 )
-from pasf.spaces import _ASCENT_SEEDS
+from pasf.spaces import _ASCENT_SEEDS, _eliminate, _full_rank, _require_rank
 
 from helpers import (
     lp_ascent_oracle,
@@ -238,6 +240,23 @@ def test_operator_norm_bracket_scales_with_powers_of_two(p, k):
     assert scaled.upper == pytest.approx(np.ldexp(base.upper, k), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 3.0, 50.0, INF])
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (8, 8)])
+def test_operator_norm_of_map_whose_sums_overflow_stays_quiet(shape, p):
+    # every absolute row or column sum of 1e308 * ones overflows; tier-1
+    # turns the RuntimeWarning numpy would emit into an error
+    a = np.full(shape, 1e308)
+    got = operator_norm(lmap(a, p=p))
+    rows, cols = shape
+    # ||A||_p of a constant matrix is 1e308 * rows^(1/p) * cols^(1 - 1/p), compared in logs
+    log_true = math.log(1e308) + math.log(rows) / p + math.log(cols) * (1.0 - 1.0 / p)
+    if got.exact:  # the true value, rounded: inf past the double range
+        assert got.value == (math.inf if log_true > math.log(np.finfo(float).max) else 1e308)
+        return
+    assert 1e308 <= got.lower and math.log(got.lower) <= log_true + 1e-12
+    assert got.upper == math.inf or math.log(got.upper) >= log_true - 1e-12
+
+
 @pytest.mark.parametrize("p", EXPONENTS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_operator_norm_of_non_finite_map_is_nan_bracket(p, bad):
@@ -356,3 +375,77 @@ def test_compose_associative(seed, n):
     right = a @ (b @ c)
     scale = max(1.0, float(np.abs(right).max()))
     assert maxdiff(left, right) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# full-rank certificate
+
+
+def _planted(seed, rows, cols, factor, tol, k):
+    """A rows x cols map with singular values in [1/8, 1] except the
+    smallest, planted at factor * tol * max|a|, then scaled by 2^k."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    r = min(rows, cols)
+    sv = np.exp2(-3.0 * rng.random(r))
+    sv[0] = 1.0
+    a = u[:, :r] * sv @ v[:, :r].T
+    if r > 1:
+        sv[-1] = factor * tol * float(np.abs(a).max())
+        a = u[:, :r] * sv @ v[:, :r].T
+    return np.ldexp(a, k)
+
+
+def _approximate_inverse(a, kind, seed):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        exact = np.linalg.pinv(a, rcond=0.0)
+    if kind == "exact":
+        return exact
+    if kind == "perturbed":
+        return exact * (1.0 + 1e-6 * rng.standard_normal(exact.shape))
+    if kind == "zero":
+        return np.zeros_like(exact)
+    if kind == "nan":
+        exact[0, 0] = np.nan
+        return exact
+    if kind == "none":
+        return None
+    return np.ldexp(rng.standard_normal(exact.shape), int(rng.integers(-60, 60)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["square", "tall", "wide"]),
+    small=st.integers(1, 6),
+    extra=st.integers(1, 5),
+    factor=st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, 10.0]),
+    tol=st.floats(1e-16, 1e-1),
+    k=st.sampled_from([0, -1000, 1000]),
+    kind=st.sampled_from(["exact", "perturbed", "zero", "nan", "garbage", "none"]),
+)
+def test_full_rank_agrees_with_the_svd_rule(seed, shape, small, extra, factor, tol, k, kind):
+    rows, cols = {"square": (small, small), "tall": (small + extra, small),
+                  "wide": (small, small + extra)}[shape]
+    a = _planted(seed, rows, cols, factor, tol, k)
+    inv = _approximate_inverse(a, kind, seed)
+    assert _full_rank(a, tol, inv) == (_eliminate(a, tol) == min(rows, cols))
+
+
+def test_garbage_inverse_of_a_singular_map_keeps_the_svd_rank():
+    # identity "inverse": ||inv||_F = sqrt(2) would clear any threshold,
+    # but its residual diag(0, 1 - 1e-12) proves nothing
+    a = np.diag([1.0, 1e-12])
+    assert not _full_rank(a, 1e-9, np.eye(2))
+    with pytest.raises(Singular) as info:
+        _require_rank(a, 1e-9, Singular, "matrix", np.eye(2))
+    assert info.value.rank == _eliminate(a, 1e-9) == 1
+
+
+def test_exact_inverse_of_a_map_below_tol_certifies_nothing():
+    # the inverse is exact (residual 0), yet sigma_min = 1e-12 < tol * max|a|
+    a = np.diag([1.0, 1e-12])
+    assert not _full_rank(a, 1e-9, np.diag([1.0, 1e12]))
+    assert _full_rank(a, 1e-13, np.diag([1.0, 1e12]))
