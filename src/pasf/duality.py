@@ -30,9 +30,11 @@ from .errors import (
 from .frames import (
     FramePair,
     FrameReport,
+    _dual_functionals,
+    _dual_vectors,
     _factored,
+    _projection,
     analysis_operator,
-    projection,
     synthesis_operator,
 )
 from .spaces import DEFAULT_TOL, LinearMap, NormBound, _eliminate, _require_rank, _within
@@ -68,8 +70,9 @@ def canonical_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> FramePair:
     Applying it twice returns the original frame: the canonical dual of
     the canonical dual is the frame itself.
     """
-    si = _factored(frame, tol)[1].entries
-    return replace(frame, functionals=frame.functionals @ si, vectors=si @ frame.vectors)
+    return replace(
+        frame, functionals=_dual_functionals(frame, tol), vectors=_dual_vectors(frame, tol)
+    )
 
 
 def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool:
@@ -89,18 +92,19 @@ def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool
 def _one_sided_inverses(
     frame: FramePair, u: LinearMap | None, v: LinearMap | None, tol: float
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
-    """(R, L, S^-1, P) with P = theta_f S^-1 theta_tau formed once; R (or L)
-    is None when U (or V) is. The parameter shapes are checked first."""
+    """(R, L, S^-1, P) from the memoised canonical dual and P = theta_f S^-1
+    theta_tau; R (or L) is None when U (or V) is. The parameter shapes are
+    checked first."""
     d, n = frame.dim, frame.count
     if u is not None and u.entries.shape != (n, d):
         raise SpaceMismatch(f"U must map x_space into seq_space ({n} x {d}), got {u.entries.shape}")
     if v is not None and v.entries.shape != (d, n):
         raise SpaceMismatch(f"V must map seq_space into x_space ({d} x {n}), got {v.entries.shape}")
     si = _factored(frame, tol)[1].entries
-    p = projection(frame, tol).entries
+    p = _projection(frame, tol)
     rest = np.eye(n) - p
-    r = None if u is None else frame.functionals @ si + rest @ u.entries
-    l = None if v is None else si @ frame.vectors + v.entries @ rest
+    r = None if u is None else _dual_functionals(frame, tol) + rest @ u.entries
+    l = None if v is None else _dual_vectors(frame, tol) + v.entries @ rest
     return r, l, si, p
 
 

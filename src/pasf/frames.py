@@ -16,6 +16,7 @@ theta_f. ``validate`` decides all of this at a configurable tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .spaces import (
     NormBound,
     PNormSpace,
     Vector,
+    _certified,
     _freeze,
     _full_rank,
     _lp,
@@ -49,7 +51,10 @@ class FramePair:
 
     The other fields are frozen, so S, S^-1 and rcond are computed once
     per (frame, tol), kept in the private ``_inverses`` memo and reused
-    by every entry point after that.
+    by every entry point after that. The products built from S^-1 -- the
+    canonical dual's f S^-1 and S^-1 tau, and P = (f S^-1) tau -- are
+    formed on first use, once per (frame, tol), and kept read-only next to
+    it in ``_products``.
     """
 
     x_space: PNormSpace
@@ -57,6 +62,7 @@ class FramePair:
     functionals: np.ndarray
     vectors: np.ndarray
     _inverses: dict = field(default_factory=dict, init=False, repr=False)
+    _products: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d, n = self.x_space.dim, self.seq_space.dim
@@ -120,10 +126,14 @@ def frame_operator(frame: FramePair) -> LinearMap:
     return compose(synthesis_operator(frame), analysis_operator(frame))
 
 
+def _finite(frame: FramePair) -> bool:
+    return bool(np.isfinite(frame.functionals).all() and np.isfinite(frame.vectors).all())
+
+
 def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float]:
     try:
         # a non-finite entry has rank 0; rejected before S = T F, whose inf - inf is NaN
-        if not (np.isfinite(frame.functionals).all() and np.isfinite(frame.vectors).all()):
+        if not _finite(frame):
             raise Singular("frame has a non-finite entry", rank=0)
         s = frame_operator(frame)
         s_inv, rcond = invert_with_rcond(s, tol)
@@ -144,10 +154,56 @@ def _factored(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float
     return found
 
 
+def _product(
+    frame: FramePair, tol: float, name: str, form: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The product ``form(S^-1)`` memoised under (``name``, ``tol``): formed
+    on the first call only and returned read-only. On frames of extreme
+    scale it may leave the double range, silently: a one-sided inverse past
+    it certifies nothing (the SVD decides), and a test on such a P fails."""
+    key = (name, tol)
+    found = frame._products.get(key)
+    if found is None:
+        si = _factored(frame, tol)[1].entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = form(si)
+        found.setflags(write=False)
+        frame._products[key] = found
+    return found
+
+
+def _dual_functionals(frame: FramePair, tol: float) -> np.ndarray:
+    """theta_f S^-1, the canonical dual's functionals and a right inverse of theta_tau."""
+    return _product(frame, tol, "f S^-1", lambda si: frame.functionals @ si)
+
+
+def _dual_vectors(frame: FramePair, tol: float) -> np.ndarray:
+    """S^-1 theta_tau, the canonical dual's vectors and a left inverse of theta_f."""
+    return _product(frame, tol, "S^-1 tau", lambda si: si @ frame.vectors)
+
+
+def _projection(frame: FramePair, tol: float) -> np.ndarray:
+    """P = (theta_f S^-1) theta_tau."""
+    return _product(frame, tol, "P", lambda si: _dual_functionals(frame, tol) @ frame.vectors)
+
+
 def _parseval(frame: FramePair, tol: float) -> bool:
-    """``validate(frame, tol).parseval`` without the norm brackets."""
-    s, _, _ = _factored(frame, tol)
-    return _within(s.entries, np.eye(frame.dim), tol)
+    """``validate(frame, tol).parseval`` without the norm brackets.
+
+    A finite frame whose S = T F is within ``tol`` of I, and whose full
+    rank the identity certifies as its approximate inverse (residual
+    I - S), is Parseval with no inversion. Otherwise S^-1 decides: a
+    singular S raises :class:`NotAFrame` with its rank, as in
+    :func:`validate`.
+    """
+    eye = np.eye(frame.dim)
+    if tol not in frame._inverses and _finite(frame):
+        # an S past the double range fails here and warns where S^-1 forms it again
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = frame.vectors @ frame.functionals
+        if _within(s, eye, tol) and _certified(s, tol, eye, eye - s):
+            return True
+    return _within(_factored(frame, tol)[0].entries, eye, tol)
 
 
 def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
@@ -162,18 +218,14 @@ def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
     rule's (see :func:`~pasf.spaces.rank`).
     """
     s, s_inv, rcond = _factored(frame, tol)
-    f, t, si = frame.functionals, frame.vectors, s_inv.entries
-    # a one-sided inverse past the double range proves nothing; the SVD decides then
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, right = si @ t, f @ si
     return FrameReport(
         frame_op=s,
         frame_op_inv=s_inv,
         lower_bound=operator_norm(s_inv).reciprocal(),
         upper_bound=operator_norm(s),
         parseval=_parseval(frame, tol),
-        analysis_injective=_full_rank(f, tol, left),
-        synthesis_surjective=_full_rank(t, tol, right),
+        analysis_injective=_full_rank(frame.functionals, tol, _dual_vectors(frame, tol)),
+        synthesis_surjective=_full_rank(frame.vectors, tol, _dual_functionals(frame, tol)),
         rcond=rcond,
     )
 
@@ -186,10 +238,9 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
     """
     if x.space.dim != frame.dim:
         raise DimensionMismatch(f"vector of dim {x.space.dim} does not live on a dim-{frame.dim} space")
-    _, s_inv, _ = _factored(frame, tol)
-    f, t, si = frame.functionals, frame.vectors, s_inv.entries
+    f, t, si = frame.functionals, frame.vectors, _factored(frame, tol)[1].entries
     first = t @ (f @ (si @ x.coords))       # coefficients of the dual functionals, original vectors
-    second = (si @ t) @ (f @ x.coords)      # original coefficients, dual vectors
+    second = _dual_vectors(frame, tol) @ (f @ x.coords)  # original coefficients, dual vectors
     r1 = _lp(first - x.coords, frame.x_space.p)
     r2 = _lp(second - x.coords, frame.x_space.p)
     return (
@@ -202,8 +253,7 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
 
 def projection(frame: FramePair, tol: float = DEFAULT_TOL) -> LinearMap:
     """P = theta_f S^-1 theta_tau, the idempotent onto range(theta_f)."""
-    _, s_inv, _ = _factored(frame, tol)
-    p = frame.functionals @ s_inv.entries @ frame.vectors
+    p = _projection(frame, tol)
     return LinearMap(domain=frame.seq_space, codomain=frame.seq_space, entries=p)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     NotSimilar,
 )
 from .duality import _require_same_spaces, canonical_dual
-from .frames import FramePair, _factored, _parseval, projection
+from .frames import FramePair, _dual_functionals, _dual_vectors, _parseval, _projection
 from .spaces import DEFAULT_TOL, LinearMap, _full_rank, _within
 
 
@@ -59,18 +59,15 @@ def witness_from_frames(
     decides otherwise.
     """
     _require_same_spaces(frame1, frame2)
-    _, s_inv, _ = _factored(frame1, tol)
-    si = s_inv.entries
-    t_fg = si @ frame1.vectors @ frame2.functionals
+    t_fg = _dual_vectors(frame1, tol) @ frame2.functionals
     # f S^-1 first, so a witness near the top of the double range stays finite
-    t_tw = frame2.vectors @ (frame1.functionals @ si)
+    t_tw = frame2.vectors @ _dual_functionals(frame1, tol)
     rev_fg = rev_tw = None
     if tol in frame2._inverses:
-        si2 = frame2._inverses[tol][1].entries
         # a reverse witness past the double range proves nothing; the SVD decides then
         with np.errstate(over="ignore", invalid="ignore"):
-            rev_fg = si2 @ frame2.vectors @ frame1.functionals
-            rev_tw = frame1.vectors @ (frame2.functionals @ si2)
+            rev_fg = _dual_vectors(frame2, tol) @ frame1.functionals
+            rev_tw = frame1.vectors @ _dual_functionals(frame2, tol)
     space = frame1.x_space
     return SimilarityWitness(
         t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),
@@ -88,7 +85,7 @@ def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) 
     and raises :class:`ConsistencyError`.
     """
     _require_same_spaces(frame1, frame2)
-    similar = _within(projection(frame1, tol).entries, projection(frame2, tol).entries, tol)
+    similar = _within(_projection(frame1, tol), _projection(frame2, tol), tol)
     if similar:
         witness = witness_from_frames(frame1, frame2, tol)
         if not witness.invertible:

@@ -196,7 +196,12 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
     the next dual or primal vector is copysign(r^(e-1), v) times the row
     factor s^(1/e) / s. The factor commutes with the matrix product, so it
     is kept apart (``cx`` for x) or, for u, cancels from the stationarity
-    test. Rows that stop leave the block; ``done`` keeps their best.
+    test. With x short of ``cx``, z . x = u . y = m_y s_y exactly, so the
+    test needs no dot product of its own. A row's value ||A x||_p =
+    cx m_y s_y^(1/p) is read once, on the step it stops (the last step, at
+    ``max_iter``): the ascent never decreases it, so up to rounding that
+    is the row's best. Rows that stop leave the block; ``done`` keeps their best, and
+    a NaN value never replaces it.
     """
     q = _dual_exponent(p)
     # keeps every m > 0: a zero row (A x = 0 or A^T u = 0) divides to r = 0,
@@ -204,35 +209,38 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
     floor = math.ulp(0.0)
     x = starts
     cx = 1.0 / _lp_rows(starts, p)
-    best = np.zeros(len(x))
     done = 0.0
-    for _ in range(max_iter):
+    for step in range(max_iter):
         y = x @ a.T
         r = np.abs(y)
-        m = r.max(axis=1, initial=floor)
-        r /= m[:, None]
+        my = r.max(axis=1, initial=floor)
+        r /= my[:, None]
         w = r ** (p - 1.0)
-        s = np.einsum("ij,ij->i", w, r)
-        ynorm = cx * m * s ** (1.0 / p)
-        best = np.fmax(best, ynorm)
+        sy = np.vecdot(w, r)
         # z = A^T u, short of u's row factor, for the unit-q-norm u with u . y = ||y||_p
         z = np.copysign(w, y) @ a
         r = np.abs(z)
         m = r.max(axis=1, initial=floor)
         r /= m[:, None]
         w = r ** (q - 1.0)
-        s = np.einsum("ij,ij->i", w, r)
-        # a row moves on while ||z||_q > z . x (1 + 1e-12)
-        moving = m * s ** (1.0 / q) > cx * np.einsum("ij,ij->i", z, x) * (1.0 + 1e-12)
+        s = np.vecdot(w, r)
+        root = s ** (1.0 / q)
+        # a row moves on while ||z||_q > z . x (1 + 1e-12), with z . x = m_y s_y
+        moving = m * root > cx * my * sy * (1.0 + 1e-12)
+        if step == max_iter - 1:  # the cap: every row still moving stops here
+            moving[:] = False
         # count_nonzero is the cheapest all-rows test on these short vectors
         if np.count_nonzero(moving) < moving.size:
-            done = max(done, best[~moving].max())
-            best, z, w, s = best[moving], z[moving], w[moving], s[moving]
+            stop = ~moving
+            value = cx[stop] * my[stop] * sy[stop] ** (1.0 / p)
+            # fmax.reduce skips NaN; max(done, nan) keeps done
+            done = max(done, float(np.fmax.reduce(value)))
+            z, w, s, root = z[moving], w[moving], s[moving], root[moving]
             if not s.size:
                 break
         x = np.copysign(w, z)
-        cx = s ** (1.0 / q) / s
-    return float(max(done, best.max(initial=0.0)))
+        cx = root / s
+    return done
 
 
 # fixed 64-bit seeds for the deterministic restarts of the p-norm search

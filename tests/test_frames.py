@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pasf import (
+    DEFAULT_TOL,
     DimensionMismatch,
     FramePair,
     LinearMap,
@@ -390,6 +391,47 @@ def test_frame_operator_is_inverted_once_per_frame_and_tol(monkeypatch):
     assert sum(1 for f, _ in inverted if f is frame) == 1
     validate(frame, 1e-6)
     assert sum(1 for f, _ in inverted if f is frame) == 2
+
+
+def test_canonical_products_are_formed_once_per_frame_and_tol(monkeypatch):
+    formed = []
+    real = frames._product
+
+    def counting(frame, tol, name, form):
+        def counted(si):
+            formed.append((frame, tol, name))
+            return form(si)
+
+        return real(frame, tol, name, counted)
+
+    monkeypatch.setattr(frames, "_product", counting)
+    frame = random_frame(6, 9, p=3.0, seed=4)
+    validate(frame)
+    canonical_dual(frame)
+    projection(frame)
+    for seed in range(3):
+        random_dual(frame, seed)
+    first = parsevalize(frame)[0]
+    assert are_similar(frame, first)
+    assert sorted(name for f, _, name in formed if f is frame) == ["P", "S^-1 tau", "f S^-1"]
+    # frame2 of are_similar: its P, then the reverse witnesses read its dual
+    assert sorted(name for f, _, name in formed if f is first) == ["P", "S^-1 tau", "f S^-1"]
+    validate(frame, 1e-6)
+    assert sorted(name for f, tol, name in formed if f is frame and tol == 1e-6) == [
+        "S^-1 tau", "f S^-1"
+    ]
+
+
+def test_canonical_products_are_kept_per_tol():
+    # S = diag(1, 1e-3) is a frame at the default tol and singular at 1e-2,
+    # so P memoised at one tol must not answer for the other
+    frame = make_frame(np.diag([1.0, 1e-3]), np.eye(2))
+    assert maxdiff(projection(frame).entries, np.eye(2)) <= 1e-15
+    assert not frames._projection(frame, DEFAULT_TOL).flags.writeable
+    with pytest.raises(NotAFrame):
+        projection(frame, 1e-2)
+    with pytest.raises(NotAFrame):
+        canonical_dual(frame, 1e-2)
 
 
 def test_only_validate_computes_norm_brackets(monkeypatch):

@@ -5,6 +5,7 @@ from pasf import (
     ContractViolated,
     InterpolationOperators,
     LinearMap,
+    NotAFrame,
     NotOrthogonal,
     NotParseval,
     SpaceMismatch,
@@ -21,6 +22,7 @@ from pasf import (
     validate,
     analysis_operator,
 )
+from pasf import frames
 from pasf.generators import PortableRng
 
 from helpers import block_orthogonal_pair, make_frame, maxdiff, standard_frame
@@ -152,6 +154,30 @@ def test_interpolate_requires_parseval_inputs():
     zero = np.zeros((2, 2))
     with pytest.raises(NotParseval):
         interpolate(bad, frame2, ops_from(bad, eye, zero, eye, zero))
+
+
+def test_interpolating_orthogonal_parseval_frames_inverts_no_frame_operator(monkeypatch):
+    inverted = []
+    real = frames._invert_frame_op
+
+    def counting(frame, tol):
+        inverted.append(frame)
+        return real(frame, tol)
+
+    monkeypatch.setattr(frames, "_invert_frame_op", counting)
+    frame1, frame2 = random_orthogonal_parseval_pair(8, 16, 3.0, seed=2)
+    stitched = scalar_interpolate(frame1, frame2, 0.6, 0.8, 0.6, 0.8)
+    assert inverted == []
+    assert validate(stitched).parseval
+
+
+def test_interpolating_a_singular_frame_within_tol_of_parseval_is_not_a_frame():
+    # S = diag(1, 0.5) is within tol = 0.6 of I, yet of rank 1 at that tol
+    frame1 = make_frame(np.diag([1.0, 0.5]), np.eye(2))
+    frame2 = make_frame(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(NotAFrame) as info:
+        scalar_interpolate(frame1, frame2, 1.0, 0.0, 1.0, 0.0, tol=0.6)
+    assert info.value.rank == 1
 
 
 def test_interpolate_requires_orthogonality():

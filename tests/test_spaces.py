@@ -25,7 +25,7 @@ from pasf import (
     rank,
     vector_norm,
 )
-from pasf.spaces import _ASCENT_SEEDS, _eliminate, _full_rank, _require_rank
+from pasf.spaces import _ASCENT_SEEDS, _ascent, _eliminate, _full_rank, _require_rank
 
 from helpers import (
     lp_ascent_oracle,
@@ -198,6 +198,49 @@ def test_block_ascent_matches_single_start_oracle(shape, p, restarts):
     for x0 in starts:
         assert got.lower >= lp_norm(a @ x0, p) / lp_norm(x0, p) * (1 - 8 * np.finfo(float).eps)
     assert got.lower <= got.upper
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    p=st.floats(1.01, 60.0).filter(lambda p: p != 2.0),  # p = 2 is exact, no ascent
+    scale=st.integers(-4, 4),
+    seed=st.integers(0, 2**32 - 1),
+    zero_cols=st.sets(st.integers(0, 11), max_size=3),
+)
+def test_block_ascent_matches_single_start_oracle_on_random_maps(rows, cols, p, scale, seed, zero_cols):
+    # a row's value is read only when it stops; the best of them must still
+    # be the best of the single-start oracle runs
+    a = np.ldexp(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, cols)), scale)
+    a[:, [j for j in zero_cols if j < cols]] = 0.0
+    got = operator_norm(lmap(a, p=p))
+    best = max(lp_ascent_oracle(a, p, x0) for x0 in documented_starts(a, p, 8))
+    assert abs(got.lower - best) <= 1e-12 * best
+    assert got.lower <= got.upper
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 5])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_block_ascent_reads_the_rows_stopped_by_the_step_cap(p, max_iter):
+    # at these caps most rows are still moving on their last step, and
+    # only that step's value can count for them
+    a = PortableRng(31).matrix(6, 6)
+    starts = np.array(documented_starts(a, p, 8))
+    got = _ascent(a, p, starts, max_iter=max_iter)
+    best = max(lp_ascent_oracle(a, p, x0, max_iter=max_iter) for x0 in starts)
+    assert got == pytest.approx(best, rel=1e-12)
+
+
+def test_block_ascent_skips_a_nan_row():
+    # a NaN start stops on its first step; it neither becomes the bound nor
+    # hides the value of a row that stops with it
+    a = PortableRng(32).matrix(4, 4)
+    starts = np.array([[np.nan] * 4, [1.0, -1.0, 0.5, 0.0]])
+    for max_iter in (1, 100):
+        alone = _ascent(a, 3.0, starts[1:], max_iter)
+        assert alone > 0.0
+        assert _ascent(a, 3.0, starts, max_iter) == pytest.approx(alone, rel=1e-14)
 
 
 def test_block_ascent_uses_restarts_beyond_eight():
