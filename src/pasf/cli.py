@@ -268,8 +268,8 @@ def _cmd_check_orthogonal(args, tol: float, report: Report) -> int:
 def _cmd_similarity(args, tol: float, report: Report) -> int:
     frame1 = fileio.load_frame(args.file1)
     frame2 = fileio.load_frame(args.file2)
-    holds = similarity.are_similar(frame1, frame2, tol)
-    witness = similarity.witness_from_frames(frame1, frame2, tol)
+    holds, witness = similarity._similarity(frame1, frame2, tol)
+    witness = witness or similarity.witness_from_frames(frame1, frame2, tol)
     report.verdict = "similar" if holds else "not similar"
     report.add("projection criterion", holds, tol)
     report.add("witnesses invertible", witness.invertible, tol)

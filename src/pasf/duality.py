@@ -9,10 +9,10 @@ arises from a pair of bounded maps (U, V) through
     omega_k = S^-1 tau_k + V e_k - V theta_f S^-1 tau_k
 
 subject to the *gate operator* S^-1 + V U - V theta_f S^-1 theta_tau U
-being invertible; the gate is exactly the candidate's own frame
-operator, and both computation routes are cross-checked against each
-other here. The same machinery yields all right inverses of theta_tau
-and all left inverses of theta_f.
+being invertible. It is computed as S^-1 + (V (I - P)) U, P = theta_f S^-1
+theta_tau, and cross-checked against theta_omega theta_g, the candidate's
+own frame operator. The same machinery yields all right inverses of
+theta_tau and all left inverses of theta_f.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool
 
 def _one_sided_inverses(
     frame: FramePair, u: LinearMap | None, v: LinearMap | None, tol: float
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
-    """(R, L, S^-1, P) from the memoised canonical dual and P = theta_f S^-1
-    theta_tau; R (or L) is None when U (or V) is. The parameter shapes are
-    checked first."""
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """(R, L, S^-1, V (I - P)) from the memoised canonical dual and P = theta_f
+    S^-1 theta_tau; R (or L and V (I - P)) is None when U (or V) is. The
+    parameter shapes are checked first."""
     d, n = frame.dim, frame.count
     if u is not None and u.entries.shape != (n, d):
         raise SpaceMismatch(f"U must map x_space into seq_space ({n} x {d}), got {u.entries.shape}")
@@ -104,8 +104,9 @@ def _one_sided_inverses(
     p = _projection(frame, tol)
     rest = np.eye(n) - p
     r = None if u is None else _dual_functionals(frame, tol) + rest @ u.entries
-    l = None if v is None else _dual_vectors(frame, tol) + v.entries @ rest
-    return r, l, si, p
+    v_rest = None if v is None else v.entries @ rest
+    l = None if v is None else _dual_vectors(frame, tol) + v_rest
+    return r, l, si, v_rest
 
 
 def right_inverse_from(frame: FramePair, u: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
@@ -137,24 +138,26 @@ def dual_from_parameters(
     vectors the left inverse built from V. The candidate is a p-ASF
     exactly when the gate operator S^-1 + VU - V theta_f S^-1 theta_tau U
     is invertible; otherwise :class:`GateSingular` is raised. The gate is
-    recomputed as the candidate's frame operator theta_omega theta_g and
-    the two routes must agree entrywise, guarding the expansion algebra.
+    computed as S^-1 + (V (I - P)) U, reusing L's V (I - P), and must agree
+    entrywise with the candidate's frame operator theta_omega theta_g, a
+    cross-check guarding the expansion algebra.
     """
-    g, omega, si, p = _one_sided_inverses(frame, u, v, tol)
+    g, omega, si, v_rest = _one_sided_inverses(frame, u, v, tol)
     n = frame.count
-    gate = si + v.entries @ u.entries - v.entries @ p @ u.entries
+    gate = si + v_rest @ u.entries
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
     _require_rank(gate, tol, GateSingular, "gate operator", _factored(frame, tol)[0].entries)
     candidate_op = omega @ g
     drift = float(np.abs(candidate_op - gate).max())
     # agreement is limited by what rounding can achieve on the largest
-    # summands entering the cancellation (the V P U triple product can
-    # dwarf the gate itself), not only by the gate's own scale; a wrong
-    # expansion misses by a full summand, far above this floor
+    # summands entering the cancellation, not only by the gate's own scale.
+    # I - P rounds on the scale 1 + max|P|, so V (I - P) U carries error on
+    # max|V| (1 + max|P|) max|U| even when it is far smaller itself; a
+    # wrong expansion misses by a full summand, far above this floor
     u_max, v_max = float(np.abs(u.entries).max()), float(np.abs(v.entries).max())
     summands = (
         float(np.abs(si).max())
-        + v_max * (1.0 + float(np.abs(p).max())) * u_max
+        + v_max * (1.0 + float(np.abs(_projection(frame, tol)).max())) * u_max
         + float(np.abs(omega).max()) * float(np.abs(g).max())
     )
     threshold = _CROSS_CHECK_TOL * max(1.0, float(np.abs(gate).max()))

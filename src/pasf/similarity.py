@@ -76,6 +76,25 @@ def witness_from_frames(
     )
 
 
+def _similarity(
+    frame1: FramePair, frame2: FramePair, tol: float
+) -> tuple[bool, SimilarityWitness | None]:
+    """are_similar's verdict and the witness it checked, None when none was formed."""
+    _require_same_spaces(frame1, frame2)
+    if not _within(_projection(frame1, tol), _projection(frame2, tol), tol):
+        return False, None
+    witness = witness_from_frames(frame1, frame2, tol)
+    if not witness.invertible:
+        raise ConsistencyError("projections agree but a witness candidate is singular")
+    slack = 10.0 * tol
+    g_drift = float(np.abs(frame2.functionals - frame1.functionals @ witness.t_fg.entries).max())
+    w_drift = float(np.abs(frame2.vectors - witness.t_tau_omega.entries @ frame1.vectors).max())
+    if not (g_drift <= slack and w_drift <= slack):
+        drift = max(g_drift, w_drift)
+        raise ConsistencyError(f"projections agree but witness transport drifts by {drift:.3e}")
+    return True, witness
+
+
 def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Decide similarity by projection equality: P_1 = P_2 entrywise.
 
@@ -84,24 +103,7 @@ def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) 
     10 * tol); a failure there means the equivalence broke numerically
     and raises :class:`ConsistencyError`.
     """
-    _require_same_spaces(frame1, frame2)
-    similar = _within(_projection(frame1, tol), _projection(frame2, tol), tol)
-    if similar:
-        witness = witness_from_frames(frame1, frame2, tol)
-        if not witness.invertible:
-            raise ConsistencyError("projections agree but a witness candidate is singular")
-        slack = 10.0 * tol
-        g_drift = float(
-            np.abs(frame2.functionals - frame1.functionals @ witness.t_fg.entries).max()
-        )
-        w_drift = float(
-            np.abs(frame2.vectors - witness.t_tau_omega.entries @ frame1.vectors).max()
-        )
-        if not (g_drift <= slack and w_drift <= slack):
-            raise ConsistencyError(
-                f"projections agree but witness transport drifts by {max(g_drift, w_drift):.3e}"
-            )
-    return similar
+    return _similarity(frame1, frame2, tol)[0]
 
 
 def apply_similarity(frame: FramePair, witness: SimilarityWitness) -> FramePair:
@@ -131,9 +133,9 @@ def parseval_transfer_check(
     """
     if not _parseval(frame_parseval, tol):
         raise NotParseval("first frame is not Parseval")
-    if not are_similar(frame_parseval, frame2, tol):
+    similar, witness = _similarity(frame_parseval, frame2, tol)
+    if not similar:
         raise NotSimilar("frames are not similar")
-    witness = witness_from_frames(frame_parseval, frame2, tol)
     a, b = witness.t_fg.entries, witness.t_tau_omega.entries
     eye = np.eye(frame_parseval.dim)
     by_product = _within(b @ a, eye, tol)

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from pasf import FramePair, PNormSpace
+from pasf import FramePair, PNormSpace, similarity
 
 
 def maxdiff(a, b) -> float:
@@ -127,3 +127,16 @@ def block_orthogonal_pair(p: float = 2.0) -> tuple[FramePair, FramePair]:
 def tall_frame() -> FramePair:
     """The frozen d=2, n=3 frame with S = diag(2, 1)."""
     return make_frame([[1, 0], [0, 1], [1, 0]], [[1, 0, 1], [0, 1, 0]])
+
+
+def count_witnesses(monkeypatch) -> list:
+    """Record each call of ``similarity.witness_from_frames`` from now on."""
+    formed = []
+    real = similarity.witness_from_frames
+
+    def counting(*args, **kwargs):
+        formed.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(similarity, "witness_from_frames", counting)
+    return formed

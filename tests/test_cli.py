@@ -6,7 +6,7 @@ import pytest
 from pasf import load_frame, random_frame, save_frame, is_dual, frame_operator
 from pasf.cli import main
 
-from helpers import block_orthogonal_pair, make_frame, scaled_frame, standard_frame
+from helpers import block_orthogonal_pair, count_witnesses, make_frame, scaled_frame, standard_frame
 
 
 @pytest.fixture
@@ -211,6 +211,30 @@ def test_similarity_failure_exits_2(files, tmp_path, capsys):
     save_frame(make_frame([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]]), this)
     code, out, _ = run(capsys, "similarity", this, other)
     assert code == 2 and "not similar" in out
+
+
+def test_similarity_forms_the_witness_once(files, tmp_path, capsys, monkeypatch):
+    out_path = str(tmp_path / "dual.json")
+    run(capsys, "canonical-dual", files["scaled"], "--out", out_path)
+    formed = count_witnesses(monkeypatch)
+    code, out, _ = run(capsys, "similarity", files["scaled"], out_path, "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "similar"
+    assert len(formed) == 1
+
+
+def test_similarity_prints_the_witness_of_a_pair_that_is_not_similar(tmp_path, capsys, monkeypatch):
+    other = str(tmp_path / "other.json")
+    save_frame(make_frame([[1, 0], [0, 1], [1, 1]], [[1, 0, 1], [0, 1, 1]]), other)
+    this = str(tmp_path / "this.json")
+    save_frame(make_frame([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]]), this)
+    formed = count_witnesses(monkeypatch)
+    code, out, _ = run(capsys, "similarity", this, other, "--json")
+    assert code == 2 and len(formed) == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "not similar"
+    # S1 = I, so the candidates are the leading blocks of f2 and tau2
+    assert doc["matrices"]["t_fg"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert doc["matrices"]["t_tau_omega"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_factorize_writes_matrices(files, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pasf import (
+    ConsistencyError,
     GateSingular,
     LinearMap,
     NotDual,
@@ -22,6 +23,7 @@ from pasf import (
     synthesis_operator,
     validate,
 )
+from pasf import duality
 
 from helpers import make_frame, maxdiff, scaled_frame, standard_frame, tall_frame
 
@@ -184,6 +186,31 @@ def test_gate_singular_frozen_instance():
         dual_from_parameters(frame, u, v)
     assert info.value.rank == 0
     assert str(info.value) == "gate operator is singular at tol=1e-09: rank 0 of 1"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_large_parameter_duals_pass_the_gate_cross_check(seed):
+    # n = d, so I - P is rounding alone; the drift floor must cover that rounding
+    # times max|V| max|U|, here at scale 100
+    frame = random_frame(16, 16, 3.0, seed=seed)
+    rng = PortableRng(1000 + seed)  # a stream apart from the frame's own draw
+    u = umap(frame, rng.matrix(16, 16, 100.0))
+    v = vmap(frame, rng.matrix(16, 16, 100.0))
+    cand = dual_from_parameters(frame, u, v)
+    assert is_dual(frame, cand.frame)
+
+
+def test_gate_cross_check_fails_closed_on_a_wrong_projection(monkeypatch):
+    real = duality._projection
+
+    def shifted(frame, tol):
+        p = real(frame, tol).copy()
+        p[0, 0] += 1e-3
+        return p
+
+    monkeypatch.setattr(duality, "_projection", shifted)
+    with pytest.raises(ConsistencyError, match="gate operator and candidate frame operator"):
+        random_dual(random_frame(4, 6, 3.0, seed=3), 0)
 
 
 def test_generated_duals_satisfy_criterion():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pasf import (
+    ConsistencyError,
     LinearMap,
     NotInvertibleWitness,
     NotParseval,
@@ -20,9 +21,10 @@ from pasf import (
     validate,
     witness_from_frames,
 )
+from pasf import similarity
 from pasf.generators import PortableRng
 
-from helpers import make_frame, maxdiff, scaled_frame, standard_frame, tall_frame
+from helpers import count_witnesses, make_frame, maxdiff, scaled_frame, standard_frame, tall_frame
 
 
 def witness(frame, a, b):
@@ -294,3 +296,35 @@ def test_only_the_canonical_dual_is_a_similar_dual():
             canon = canonical_dual(frame)
             is_canon = maxdiff(cand.functionals, canon.functionals) <= 1e-9
             assert are_similar(frame, cand) == is_canon
+
+
+# ---------------------------------------------------------------------------
+# one similarity decision, one witness
+
+
+def test_parseval_transfer_forms_the_witness_once(monkeypatch):
+    frame = random_frame(4, 7, p=3.0, seed=2)
+    first, second = parsevalize(frame)
+    formed = count_witnesses(monkeypatch)
+    assert parseval_transfer_check(first, second)
+    assert len(formed) == 1
+
+
+def test_witness_transport_drift_raises_consistency_error(monkeypatch):
+    # a witness that no longer carries f onto g must fail closed, not pass as similar
+    real = similarity.witness_from_frames
+
+    def shifted(frame1, frame2, tol=1e-9):
+        w = real(frame1, frame2, tol)
+        t_fg = w.t_fg.entries.copy()
+        t_fg[0, 0] += 1e-3
+        return SimilarityWitness(
+            t_fg=LinearMap(w.t_fg.domain, w.t_fg.codomain, t_fg),
+            t_tau_omega=w.t_tau_omega,
+            invertible=w.invertible,
+        )
+
+    monkeypatch.setattr(similarity, "witness_from_frames", shifted)
+    frame = random_frame(4, 6, p=3.0, seed=3)
+    with pytest.raises(ConsistencyError, match="witness transport drifts"):
+        are_similar(frame, parsevalize(frame)[0])
