@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,7 +199,7 @@ def _require_finite(report: Report) -> None:
 
 def _emit(report: Report, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(asdict(report), allow_nan=False))
+        print(json.dumps(vars(report), allow_nan=False))
     else:
         print(report.render_human())
 
@@ -307,9 +307,8 @@ def _cmd_sample_duals(args, tol: float, report: Report) -> int:
     for i in range(args.count):
         cand = generators.random_dual(frame, args.seed + i)
         ok = duality.is_dual(frame, cand.frame, tol)
-        _, _, rcond = frames._factored(cand.frame, tol)
         report.add(f"sample {i} is_dual", ok, tol)
-        report.add(f"sample {i} rcond", rcond, tol)
+        report.add(f"sample {i} rcond", frames._canonical(cand.frame, tol).rcond, tol)
         if args.out_dir:
             fileio.save_frame(cand.frame, os.path.join(args.out_dir, f"dual_{i:03d}.json"))
     report.verdict = f"{args.count} duals sampled"

@@ -27,16 +27,7 @@ from .errors import (
     NotDual,
     SpaceMismatch,
 )
-from .frames import (
-    FramePair,
-    FrameReport,
-    _dual_functionals,
-    _dual_vectors,
-    _factored,
-    _projection,
-    analysis_operator,
-    synthesis_operator,
-)
+from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
 from .spaces import DEFAULT_TOL, LinearMap, NormBound, _eliminate, _require_rank, _within
 
 #: Entrywise agreement required between the two gate-operator routes.
@@ -70,9 +61,8 @@ def canonical_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> FramePair:
     Applying it twice returns the original frame: the canonical dual of
     the canonical dual is the frame itself.
     """
-    return replace(
-        frame, functionals=_dual_functionals(frame, tol), vectors=_dual_vectors(frame, tol)
-    )
+    c = _canonical(frame, tol)
+    return replace(frame, functionals=c.dual_functionals, vectors=c.dual_vectors)
 
 
 def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool:
@@ -89,24 +79,11 @@ def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool
     )
 
 
-def _one_sided_inverses(
-    frame: FramePair, u: LinearMap | None, v: LinearMap | None, tol: float
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """(R, L, S^-1, V (I - P)) from the memoised canonical dual and P = theta_f
-    S^-1 theta_tau; R (or L and V (I - P)) is None when U (or V) is. The
-    parameter shapes are checked first."""
-    d, n = frame.dim, frame.count
-    if u is not None and u.entries.shape != (n, d):
-        raise SpaceMismatch(f"U must map x_space into seq_space ({n} x {d}), got {u.entries.shape}")
-    if v is not None and v.entries.shape != (d, n):
-        raise SpaceMismatch(f"V must map seq_space into x_space ({d} x {n}), got {v.entries.shape}")
-    si = _factored(frame, tol)[1].entries
-    p = _projection(frame, tol)
-    rest = np.eye(n) - p
-    r = None if u is None else _dual_functionals(frame, tol) + rest @ u.entries
-    v_rest = None if v is None else v.entries @ rest
-    l = None if v is None else _dual_vectors(frame, tol) + v_rest
-    return r, l, si, v_rest
+def _require_shape(name: str, param: LinearMap, shape: tuple[int, int], role: str) -> None:
+    if param.entries.shape != shape:
+        raise SpaceMismatch(
+            f"{name} must map {role} ({shape[0]} x {shape[1]}), got {param.entries.shape}"
+        )
 
 
 def right_inverse_from(frame: FramePair, u: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
@@ -115,7 +92,9 @@ def right_inverse_from(frame: FramePair, u: LinearMap, tol: float = DEFAULT_TOL)
     Every bounded right inverse of theta_tau has this form for some U
     from x_space into seq_space; U = 0 gives the base point theta_f S^-1.
     """
-    entries = _one_sided_inverses(frame, u, None, tol)[0]
+    _require_shape("U", u, (frame.count, frame.dim), "x_space into seq_space")
+    c = _canonical(frame, tol)
+    entries = c.dual_functionals + c.complement @ u.entries
     return LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=entries)
 
 
@@ -125,7 +104,9 @@ def left_inverse_from(frame: FramePair, v: LinearMap, tol: float = DEFAULT_TOL) 
     Mirror image of :func:`right_inverse_from`; V = 0 gives the base
     point S^-1 theta_tau.
     """
-    entries = _one_sided_inverses(frame, None, v, tol)[1]
+    _require_shape("V", v, (frame.dim, frame.count), "seq_space into x_space")
+    c = _canonical(frame, tol)
+    entries = c.dual_vectors + v.entries @ c.complement
     return LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=entries)
 
 
@@ -142,11 +123,17 @@ def dual_from_parameters(
     entrywise with the candidate's frame operator theta_omega theta_g, a
     cross-check guarding the expansion algebra.
     """
-    g, omega, si, v_rest = _one_sided_inverses(frame, u, v, tol)
-    n = frame.count
+    d, n = frame.dim, frame.count
+    _require_shape("U", u, (n, d), "x_space into seq_space")
+    _require_shape("V", v, (d, n), "seq_space into x_space")
+    c = _canonical(frame, tol)
+    si = c.s_inv.entries
+    g = c.dual_functionals + c.complement @ u.entries
+    v_rest = v.entries @ c.complement
+    omega = c.dual_vectors + v_rest
     gate = si + v_rest @ u.entries
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
-    _require_rank(gate, tol, GateSingular, "gate operator", _factored(frame, tol)[0].entries)
+    _require_rank(gate, tol, GateSingular, "gate operator", c.s.entries)
     candidate_op = omega @ g
     drift = float(np.abs(candidate_op - gate).max())
     # agreement is limited by what rounding can achieve on the largest
@@ -157,7 +144,7 @@ def dual_from_parameters(
     u_max, v_max = float(np.abs(u.entries).max()), float(np.abs(v.entries).max())
     summands = (
         float(np.abs(si).max())
-        + v_max * (1.0 + float(np.abs(_projection(frame, tol)).max())) * u_max
+        + v_max * (1.0 + float(np.abs(c.projection).max())) * u_max
         + float(np.abs(omega).max()) * float(np.abs(g).max())
     )
     threshold = _CROSS_CHECK_TOL * max(1.0, float(np.abs(gate).max()))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,20 +50,18 @@ class FramePair:
     whether the pair is an actual p-ASF (frame operator invertible) is
     decided by :func:`validate`.
 
-    The other fields are frozen, so S, S^-1 and rcond are computed once
-    per (frame, tol), kept in the private ``_inverses`` memo and reused
-    by every entry point after that. The products built from S^-1 -- the
-    canonical dual's f S^-1 and S^-1 tau, and P = (f S^-1) tau -- are
-    formed on first use, once per (frame, tol), and kept read-only next to
-    it in ``_products``.
+    The other fields are frozen, so the private ``_memo`` keeps one record
+    per (frame, tol), reused by every entry point after that. It holds S,
+    S^-1 and rcond, from one inversion, and forms on first read, read-only,
+    the products built from S^-1: the canonical dual's f S^-1 and S^-1 tau,
+    P = (f S^-1) tau and I - P.
     """
 
     x_space: PNormSpace
     seq_space: PNormSpace
     functionals: np.ndarray
     vectors: np.ndarray
-    _inverses: dict = field(default_factory=dict, init=False, repr=False)
-    _products: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d, n = self.x_space.dim, self.seq_space.dim
@@ -145,46 +144,52 @@ def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap
     return s, s_inv, rcond
 
 
-def _factored(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float]:
-    """(S, S^-1, rcond) at ``tol``, inverted on the first call only;
-    raises :class:`NotAFrame` (not memoised) when S is singular."""
-    found = frame._inverses.get(tol)
-    if found is None:
-        found = frame._inverses[tol] = _invert_frame_op(frame, tol)
-    return found
+def _formed(form: Callable[[_Canonical], np.ndarray]) -> cached_property:
+    """A product of the record, formed on its first read and kept read-only.
+    On frames of extreme scale it may leave the double range, silently: a
+    one-sided inverse past it certifies nothing (the SVD decides), and a
+    test on such a P fails."""
 
-
-def _product(
-    frame: FramePair, tol: float, name: str, form: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """The product ``form(S^-1)`` memoised under (``name``, ``tol``): formed
-    on the first call only and returned read-only. On frames of extreme
-    scale it may leave the double range, silently: a one-sided inverse past
-    it certifies nothing (the SVD decides), and a test on such a P fails."""
-    key = (name, tol)
-    found = frame._products.get(key)
-    if found is None:
-        si = _factored(frame, tol)[1].entries
+    def read_only(record: _Canonical) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            found = form(si)
+            found = form(record)
         found.setflags(write=False)
-        frame._products[key] = found
+        return found
+
+    return cached_property(read_only)
+
+
+class _Canonical:
+    """What a frame knows at one tol: S, S^-1 and rcond, from one inversion,
+    and the products built from S^-1, each formed on first read."""
+
+    def __init__(self, frame: FramePair, tol: float):
+        # the frame's matrices, not the frame, whose memo holds this record
+        self.functionals, self.vectors = frame.functionals, frame.vectors
+        self.s, self.s_inv, self.rcond = _invert_frame_op(frame, tol)
+
+    #: theta_f S^-1, the canonical dual's functionals and a right inverse of theta_tau
+    dual_functionals = _formed(lambda self: self.functionals @ self.s_inv.entries)
+    #: S^-1 theta_tau, the canonical dual's vectors and a left inverse of theta_f
+    dual_vectors = _formed(lambda self: self.s_inv.entries @ self.vectors)
+    #: P = (theta_f S^-1) theta_tau
+    projection = _formed(lambda self: self.dual_functionals @ self.vectors)
+    #: I - P, which parameterizes every dual
+    complement = _formed(lambda self: np.eye(len(self.projection)) - self.projection)
+
+
+def _canonical(frame: FramePair, tol: float) -> _Canonical:
+    """The record of ``frame`` at ``tol``, S inverted on the first call only;
+    raises :class:`NotAFrame` (not memoised) when S is singular."""
+    found = frame._memo.get(tol)
+    if found is None:
+        found = frame._memo[tol] = _Canonical(frame, tol)
     return found
 
 
-def _dual_functionals(frame: FramePair, tol: float) -> np.ndarray:
-    """theta_f S^-1, the canonical dual's functionals and a right inverse of theta_tau."""
-    return _product(frame, tol, "f S^-1", lambda si: frame.functionals @ si)
-
-
-def _dual_vectors(frame: FramePair, tol: float) -> np.ndarray:
-    """S^-1 theta_tau, the canonical dual's vectors and a left inverse of theta_f."""
-    return _product(frame, tol, "S^-1 tau", lambda si: si @ frame.vectors)
-
-
-def _projection(frame: FramePair, tol: float) -> np.ndarray:
-    """P = (theta_f S^-1) theta_tau."""
-    return _product(frame, tol, "P", lambda si: _dual_functionals(frame, tol) @ frame.vectors)
+def _held(frame: FramePair, tol: float) -> _Canonical | None:
+    """The record of ``frame`` at ``tol`` if it is already formed; never inverts."""
+    return frame._memo.get(tol)
 
 
 def _parseval(frame: FramePair, tol: float) -> bool:
@@ -197,13 +202,13 @@ def _parseval(frame: FramePair, tol: float) -> bool:
     :func:`validate`.
     """
     eye = np.eye(frame.dim)
-    if tol not in frame._inverses and _finite(frame):
+    if _held(frame, tol) is None and _finite(frame):
         # an S past the double range fails here and warns where S^-1 forms it again
         with np.errstate(over="ignore", invalid="ignore"):
             s = frame.vectors @ frame.functionals
         if _within(s, eye, tol) and _certified(s, tol, eye, eye - s):
             return True
-    return _within(_factored(frame, tol)[0].entries, eye, tol)
+    return _within(_canonical(frame, tol).s.entries, eye, tol)
 
 
 def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
@@ -217,16 +222,16 @@ def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
     S^-1 theta_tau and theta_f S^-1, but the verdict is always the SVD
     rule's (see :func:`~pasf.spaces.rank`).
     """
-    s, s_inv, rcond = _factored(frame, tol)
+    c = _canonical(frame, tol)
     return FrameReport(
-        frame_op=s,
-        frame_op_inv=s_inv,
-        lower_bound=operator_norm(s_inv).reciprocal(),
-        upper_bound=operator_norm(s),
+        frame_op=c.s,
+        frame_op_inv=c.s_inv,
+        lower_bound=operator_norm(c.s_inv).reciprocal(),
+        upper_bound=operator_norm(c.s),
         parseval=_parseval(frame, tol),
-        analysis_injective=_full_rank(frame.functionals, tol, _dual_vectors(frame, tol)),
-        synthesis_surjective=_full_rank(frame.vectors, tol, _dual_functionals(frame, tol)),
-        rcond=rcond,
+        analysis_injective=_full_rank(frame.functionals, tol, c.dual_vectors),
+        synthesis_surjective=_full_rank(frame.vectors, tol, c.dual_functionals),
+        rcond=c.rcond,
     )
 
 
@@ -238,9 +243,9 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
     """
     if x.space.dim != frame.dim:
         raise DimensionMismatch(f"vector of dim {x.space.dim} does not live on a dim-{frame.dim} space")
-    f, t, si = frame.functionals, frame.vectors, _factored(frame, tol)[1].entries
-    first = t @ (f @ (si @ x.coords))       # coefficients of the dual functionals, original vectors
-    second = _dual_vectors(frame, tol) @ (f @ x.coords)  # original coefficients, dual vectors
+    f, t, c = frame.functionals, frame.vectors, _canonical(frame, tol)
+    first = t @ (f @ (c.s_inv.entries @ x.coords))  # coefficients of the dual functionals, original vectors
+    second = c.dual_vectors @ (f @ x.coords)  # original coefficients, dual vectors
     r1 = _lp(first - x.coords, frame.x_space.p)
     r2 = _lp(second - x.coords, frame.x_space.p)
     return (
@@ -253,7 +258,7 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
 
 def projection(frame: FramePair, tol: float = DEFAULT_TOL) -> LinearMap:
     """P = theta_f S^-1 theta_tau, the idempotent onto range(theta_f)."""
-    p = _projection(frame, tol)
+    p = _canonical(frame, tol).projection
     return LinearMap(domain=frame.seq_space, codomain=frame.seq_space, entries=p)
 
 
@@ -283,7 +288,7 @@ def factorize(frame: FramePair, tol: float = DEFAULT_TOL) -> tuple[LinearMap, Li
     Round-trips exactly: ``from_factorization(*factorize(frame))`` stores
     the same matrices bit for bit.
     """
-    _factored(frame, tol)
+    _canonical(frame, tol)
     return analysis_operator(frame), synthesis_operator(frame)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GateSingular, GenerationFailed, InsufficientCoordinates, NotAFrame
 from .duality import DualCandidate, dual_from_parameters
-from .frames import FramePair, _factored
+from .frames import FramePair, _canonical
 from .spaces import DEFAULT_TOL, LinearMap, PNormSpace
 
 #: Seeds are plain 64-bit unsigned integers (wider ints are masked).
@@ -48,19 +48,12 @@ def _jump_table(count: int) -> tuple[np.ndarray, np.ndarray]:
     """The affine maps that advance the LCG by k = 1..count steps:
     state_k = mult[k-1] * state + inc[k-1] with mult = MULT^k and
     inc = INC * (MULT^(k-1) + ... + 1), all mod 2^64. They do not depend on
-    the state, so they are built once per ``count``, by doubling, and
-    returned read-only."""
-    mult = np.empty(count, dtype=np.uint64)
-    inc = np.empty(count, dtype=np.uint64)
-    mult[0], inc[0] = _MULT, _INC
-    # (m, c) advances `filled` steps; entry filled + k is entry k applied after it
-    m, c, filled = _MULT, _INC, 1
-    while filled < count:
-        take = min(filled, count - filled)
-        mult[filled:filled + take] = mult[:take] * np.uint64(m)
-        inc[filled:filled + take] = mult[:take] * np.uint64(c) + inc[:take]
-        m, c = (m * m) & _MASK64, (m * c + c) & _MASK64
-        filled += take
+    the state, so they are built once per ``count``, as running products
+    and sums in uint64 (which wraps mod 2^64), and returned read-only."""
+    mult = np.cumprod(np.full(count, _MULT, dtype=np.uint64))
+    # MULT^0 .. MULT^(count-1); a Python 1 here would promote them to float64
+    powers = np.concatenate(([np.uint64(1)], mult[:-1]))
+    inc = np.cumsum(powers) * np.uint64(_INC)
     mult.setflags(write=False)
     inc.setflags(write=False)
     return mult, inc
@@ -156,7 +149,7 @@ def random_frame(
             vectors=rng.matrix(d, n),
         )
         try:
-            _, _, rcond = _factored(frame, DEFAULT_TOL)
+            rcond = _canonical(frame, DEFAULT_TOL).rcond
         except NotAFrame:
             continue
         if rcond >= min_rcond:

@@ -26,7 +26,7 @@ from .errors import (
     NotParseval,
 )
 from .duality import _require_same_spaces
-from .frames import FramePair, _factored, _parseval
+from .frames import FramePair, _canonical, _parseval
 from .spaces import DEFAULT_TOL, LinearMap, _within, identity
 
 
@@ -133,7 +133,7 @@ def mixed_pair_degeneracy_check(
 
     def fails(mixed: FramePair) -> bool:
         try:
-            _factored(mixed, tol)
+            _canonical(mixed, tol)
         except NotAFrame:
             return True
         return False

@@ -27,8 +27,8 @@ from .errors import (
     NotParseval,
     NotSimilar,
 )
-from .duality import _require_same_spaces, canonical_dual
-from .frames import FramePair, _dual_functionals, _dual_vectors, _parseval, _projection
+from .duality import _require_same_spaces
+from .frames import FramePair, _canonical, _held, _parseval
 from .spaces import DEFAULT_TOL, LinearMap, _full_rank, _within
 
 
@@ -59,15 +59,16 @@ def witness_from_frames(
     decides otherwise.
     """
     _require_same_spaces(frame1, frame2)
-    t_fg = _dual_vectors(frame1, tol) @ frame2.functionals
+    c1, c2 = _canonical(frame1, tol), _held(frame2, tol)
+    t_fg = c1.dual_vectors @ frame2.functionals
     # f S^-1 first, so a witness near the top of the double range stays finite
-    t_tw = frame2.vectors @ _dual_functionals(frame1, tol)
+    t_tw = frame2.vectors @ c1.dual_functionals
     rev_fg = rev_tw = None
-    if tol in frame2._inverses:
+    if c2 is not None:
         # a reverse witness past the double range proves nothing; the SVD decides then
         with np.errstate(over="ignore", invalid="ignore"):
-            rev_fg = _dual_vectors(frame2, tol) @ frame1.functionals
-            rev_tw = frame1.vectors @ _dual_functionals(frame2, tol)
+            rev_fg = c2.dual_vectors @ frame1.functionals
+            rev_tw = frame1.vectors @ c2.dual_functionals
     space = frame1.x_space
     return SimilarityWitness(
         t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),
@@ -81,7 +82,7 @@ def _similarity(
 ) -> tuple[bool, SimilarityWitness | None]:
     """are_similar's verdict and the witness it checked, None when none was formed."""
     _require_same_spaces(frame1, frame2)
-    if not _within(_projection(frame1, tol), _projection(frame2, tol), tol):
+    if not _within(_canonical(frame1, tol).projection, _canonical(frame2, tol).projection, tol):
         return False, None
     witness = witness_from_frames(frame1, frame2, tol)
     if not witness.invertible:
@@ -155,5 +156,5 @@ def parsevalize(frame: FramePair, tol: float = DEFAULT_TOL) -> tuple[FramePair, 
     Returns ((f_k S^-1, tau_k), (f_k, S^-1 tau_k)); the similarity
     witnesses are (S^-1, I) and (I, S^-1) respectively.
     """
-    dual = canonical_dual(frame, tol)
-    return replace(dual, vectors=frame.vectors), replace(dual, functionals=frame.functionals)
+    c = _canonical(frame, tol)
+    return replace(frame, functionals=c.dual_functionals), replace(frame, vectors=c.dual_vectors)

@@ -144,13 +144,11 @@ class NormBound:
 
 
 def _lp(v: np.ndarray, p: float) -> float:
-    """l^p norm of a vector; for p outside {1, 2, inf} see :func:`_lp_rows`."""
+    """l^p norm of a vector; for p outside {1, inf} see :func:`_lp_rows`."""
     if p == INF:
         return float(np.abs(v).max()) if v.size else 0.0
     if p == 1.0:
         return float(np.abs(v).sum())
-    if p == 2.0:
-        return float(np.linalg.norm(v))
     return float(_lp_rows(v, p)) if v.size else 0.0
 
 

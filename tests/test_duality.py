@@ -23,7 +23,7 @@ from pasf import (
     synthesis_operator,
     validate,
 )
-from pasf import duality
+from pasf import frames
 
 from helpers import make_frame, maxdiff, scaled_frame, standard_frame, tall_frame
 
@@ -201,14 +201,15 @@ def test_large_parameter_duals_pass_the_gate_cross_check(seed):
 
 
 def test_gate_cross_check_fails_closed_on_a_wrong_projection(monkeypatch):
-    real = duality._projection
+    product = vars(frames._Canonical)["projection"]
+    real = product.func
 
-    def shifted(frame, tol):
-        p = real(frame, tol).copy()
+    def shifted(record):
+        p = real(record).copy()
         p[0, 0] += 1e-3
         return p
 
-    monkeypatch.setattr(duality, "_projection", shifted)
+    monkeypatch.setattr(product, "func", shifted)
     with pytest.raises(ConsistencyError, match="gate operator and candidate frame operator"):
         random_dual(random_frame(4, 6, 3.0, seed=3), 0)
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -393,18 +396,41 @@ def test_frame_operator_is_inverted_once_per_frame_and_tol(monkeypatch):
     assert sum(1 for f, _ in inverted if f is frame) == 2
 
 
+def test_frames_are_freed_without_the_cyclic_gc():
+    # the memo's records must not refer back to their frame: a cycle would
+    # keep every frame alive until the cyclic collector runs
+    gc.disable()
+    try:
+        frame = random_frame(6, 9, p=3.0, seed=4)
+        validate(frame)
+        canonical_dual(frame)
+        projection(frame)
+        for seed in range(3):
+            random_dual(frame, seed)
+        first = parsevalize(frame)[0]
+        assert are_similar(frame, first)
+        refs = weakref.ref(frame), weakref.ref(first)
+        del frame, first
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_canonical_products_are_formed_once_per_frame_and_tol(monkeypatch):
     formed = []
-    real = frames._product
+    for name in ("dual_functionals", "dual_vectors", "projection", "complement"):
+        product = vars(frames._Canonical)[name]
 
-    def counting(frame, tol, name, form):
-        def counted(si):
-            formed.append((frame, tol, name))
-            return form(si)
+        def counting(record, name=name, form=product.func):
+            formed.append((record, name))
+            return form(record)
 
-        return real(frame, tol, name, counted)
+        monkeypatch.setattr(product, "func", counting)
 
-    monkeypatch.setattr(frames, "_product", counting)
+    def names(frame, tol):
+        record = frames._held(frame, tol)
+        return sorted(name for r, name in formed if r is record)
+
     frame = random_frame(6, 9, p=3.0, seed=4)
     validate(frame)
     canonical_dual(frame)
@@ -413,13 +439,11 @@ def test_canonical_products_are_formed_once_per_frame_and_tol(monkeypatch):
         random_dual(frame, seed)
     first = parsevalize(frame)[0]
     assert are_similar(frame, first)
-    assert sorted(name for f, _, name in formed if f is frame) == ["P", "S^-1 tau", "f S^-1"]
+    assert names(frame, DEFAULT_TOL) == ["complement", "dual_functionals", "dual_vectors", "projection"]
     # frame2 of are_similar: its P, then the reverse witnesses read its dual
-    assert sorted(name for f, _, name in formed if f is first) == ["P", "S^-1 tau", "f S^-1"]
+    assert names(first, DEFAULT_TOL) == ["dual_functionals", "dual_vectors", "projection"]
     validate(frame, 1e-6)
-    assert sorted(name for f, tol, name in formed if f is frame and tol == 1e-6) == [
-        "S^-1 tau", "f S^-1"
-    ]
+    assert names(frame, 1e-6) == ["dual_functionals", "dual_vectors"]
 
 
 def test_canonical_products_are_kept_per_tol():
@@ -427,7 +451,7 @@ def test_canonical_products_are_kept_per_tol():
     # so P memoised at one tol must not answer for the other
     frame = make_frame(np.diag([1.0, 1e-3]), np.eye(2))
     assert maxdiff(projection(frame).entries, np.eye(2)) <= 1e-15
-    assert not frames._projection(frame, DEFAULT_TOL).flags.writeable
+    assert not frames._canonical(frame, DEFAULT_TOL).projection.flags.writeable
     with pytest.raises(NotAFrame):
         projection(frame, 1e-2)
     with pytest.raises(NotAFrame):

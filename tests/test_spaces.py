@@ -82,6 +82,13 @@ def test_vector_norm_examples():
     assert vector_norm(PNormSpace(2, INF), vec([3, -4], INF)) == 4.0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_vector_norm_at_p2_neither_underflows_nor_overflows(scale):
+    # the squares of these entries leave the double range; the norm does not
+    norm = vector_norm(PNormSpace(2, 2.0), vec([scale, scale], 2.0))
+    assert norm == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15, abs=0.0)
+
+
 def test_vector_norm_rejects_wrong_space():
     with pytest.raises(DimensionMismatch):
         vector_norm(PNormSpace(2, 1.0), vec([3, -4], 2.0))
