@@ -81,8 +81,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return f"{x:.6g}"
     return str(x)
 

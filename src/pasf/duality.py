@@ -28,7 +28,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import DEFAULT_TOL, LinearMap, NormBound, _eliminate, _require_rank, _within
+from .spaces import DEFAULT_TOL, LinearMap, NormBound, _rank, _require_rank, _within
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -183,7 +183,7 @@ def has_unique_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> bool:
     d, n = frame.dim, frame.count
     if n != d:
         return False
-    if _eliminate(frame.vectors, tol) < d:
+    if _rank(frame.vectors, tol) < d:
         return False
     return _within(frame.functionals @ frame.vectors, np.eye(n), tol)
 

@@ -31,8 +31,8 @@ from .spaces import (
     Vector,
     _certified,
     _freeze,
-    _full_rank,
     _lp,
+    _rank,
     _require_rank,
     _within,
     compose,
@@ -196,17 +196,16 @@ def _parseval(frame: FramePair, tol: float) -> bool:
     """``validate(frame, tol).parseval`` without the norm brackets.
 
     A finite frame whose S = T F is within ``tol`` of I, and whose full
-    rank the identity certifies as its approximate inverse (residual
-    I - S), is Parseval with no inversion. Otherwise S^-1 decides: a
-    singular S raises :class:`NotAFrame` with its rank, as in
-    :func:`validate`.
+    rank the identity certifies as its approximate inverse, is Parseval
+    with no inversion. Otherwise S^-1 decides: a singular S raises
+    :class:`NotAFrame` with its rank, as in :func:`validate`.
     """
     eye = np.eye(frame.dim)
     if _held(frame, tol) is None and _finite(frame):
         # an S past the double range fails here and warns where S^-1 forms it again
         with np.errstate(over="ignore", invalid="ignore"):
             s = frame.vectors @ frame.functionals
-        if _within(s, eye, tol) and _certified(s, tol, eye, eye - s):
+        if _within(s, eye, tol) and _certified(s, tol, eye):
             return True
     return _within(_canonical(frame, tol).s.entries, eye, tol)
 
@@ -222,15 +221,15 @@ def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
     S^-1 theta_tau and theta_f S^-1, but the verdict is always the SVD
     rule's (see :func:`~pasf.spaces.rank`).
     """
-    c = _canonical(frame, tol)
+    c, full = _canonical(frame, tol), min(frame.dim, frame.count)
     return FrameReport(
         frame_op=c.s,
         frame_op_inv=c.s_inv,
         lower_bound=operator_norm(c.s_inv).reciprocal(),
         upper_bound=operator_norm(c.s),
         parseval=_parseval(frame, tol),
-        analysis_injective=_full_rank(frame.functionals, tol, c.dual_vectors),
-        synthesis_surjective=_full_rank(frame.vectors, tol, c.dual_functionals),
+        analysis_injective=_rank(frame.functionals, tol, c.dual_vectors) == full,
+        synthesis_surjective=_rank(frame.vectors, tol, c.dual_functionals) == full,
         rcond=c.rcond,
     )
 

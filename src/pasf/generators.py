@@ -23,6 +23,7 @@ the operator-composition criterion it corroborates.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -158,14 +159,21 @@ def random_frame(
 
 
 def random_dual(frame: FramePair, seed: Seed) -> DualCandidate:
-    """Sample the dual family, scaling (U, V) by 1/(n*d) to keep the gate
-    operator well conditioned; retries on a singular gate."""
+    """Sample the dual family; retries on a singular gate.
+
+    U is uniform at 2^-e / (n*d) for max|tau| in [2^(e-1), 2^e), and V
+    likewise from max|f|, so V (I - P) U keeps to the scale of S^-1 and the
+    gate S^-1 + V (I - P) U stays well conditioned for a frame of any
+    scale. Each factor is 1 for a maximum in [1/2, 1); e is held at -1000
+    or more, which keeps 2^-e finite and only ever shrinks (U, V).
+    """
     d, n = frame.dim, frame.count
     rng = PortableRng(seed)
-    scale = 1.0 / (n * d)
+    u_scale, v_scale = (math.ldexp(1.0 / (n * d), -max(math.frexp(float(np.abs(m).max()))[1], -1000))
+                        for m in (frame.vectors, frame.functionals))
     for _ in range(_MAX_REJECTS):
-        u = LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=rng.matrix(n, d, scale))
-        v = LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=rng.matrix(d, n, scale))
+        u = LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=rng.matrix(n, d, u_scale))
+        v = LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=rng.matrix(d, n, v_scale))
         try:
             return dual_from_parameters(frame, u, v)
         except GateSingular:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _held, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _full_rank, _within
+from .spaces import DEFAULT_TOL, LinearMap, _rank, _within
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,11 @@ def witness_from_frames(
         with np.errstate(over="ignore", invalid="ignore"):
             rev_fg = c2.dual_vectors @ frame1.functionals
             rev_tw = frame1.vectors @ c2.dual_functionals
-    space = frame1.x_space
+    space, d = frame1.x_space, frame1.dim
     return SimilarityWitness(
         t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),
         t_tau_omega=LinearMap(domain=space, codomain=space, entries=t_tw),
-        invertible=_full_rank(t_fg, tol, rev_fg) and _full_rank(t_tw, tol, rev_tw),
+        invertible=_rank(t_fg, tol, rev_fg) == d and _rank(t_tw, tol, rev_tw) == d,
     )
 
 

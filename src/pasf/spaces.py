@@ -174,14 +174,6 @@ def vector_norm(space: PNormSpace, v: Vector) -> float:
 # operator p-norms
 
 
-def _dual_exponent(p: float) -> float:
-    if p == 1.0:
-        return INF
-    if p == INF:
-        return 1.0
-    return p / (p - 1.0)
-
-
 def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) -> float:
     """Best ||A x||_p by monotone ascent over the unit p-sphere, from every
     row of ``starts`` at once. Each step moves x to the unit-p-norm maximizer
@@ -201,7 +193,7 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
     is the row's best. Rows that stop leave the block; ``done`` keeps their best, and
     a NaN value never replaces it.
     """
-    q = _dual_exponent(p)
+    q = p / (p - 1.0)  # the dual exponent; operator_norm sends only 1 < p < inf here
     # keeps every m > 0: a zero row (A x = 0 or A^T u = 0) divides to r = 0,
     # so its norm is 0 and the stationarity test freezes it, with no 0 / 0 formed
     floor = math.ulp(0.0)
@@ -342,22 +334,20 @@ def _eliminate(a: np.ndarray, tol: float) -> int:
 _CERT_SLACK = 8.0
 
 
-def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None,
-               residual: np.ndarray | None = None) -> bool:
+def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
     """Whether the approximate one-sided inverse ``inv`` proves that
     :func:`_eliminate` finds ``a`` of full rank at ``tol``, with no SVD.
 
-    With R = I - inv @ a for a tall ``a`` and R = I - a @ inv otherwise
-    (``residual``, when the caller has formed it already), the smallest
-    singular value is at least (1 - ||R|| - rho) / ||inv|| in Frobenius
-    norms, where rho = c (n + 2) eps ||a|| ||inv|| bounds the rounding in
-    R (S. M. Rump, Acta Numerica 19, 2010). The answer is True only when
-    that bound clears both 2 tol max|a| and tol max|a| + c n eps ||a||, the
-    second past the SVD's own error (Golub and Van Loan, section 8.6), so
-    the SVD could not have counted a value below the threshold. False
-    means "not proved", never "singular": a missing, non-finite or poor
-    ``inv`` gives False. Everything runs on a and inv scaled by 2^-e and
-    2^e, which is exact and keeps every product finite.
+    With R = I - inv @ a for a tall ``a`` and R = I - a @ inv otherwise,
+    the smallest singular value is at least (1 - ||R|| - rho) / ||inv|| in
+    Frobenius norms, where rho = c (n + 2) eps ||a|| ||inv|| bounds the
+    rounding in R (S. M. Rump, Acta Numerica 19, 2010). The answer is True
+    only when that bound clears both 2 tol max|a| and tol max|a| + c n eps
+    ||a||, the second past the SVD's own error (Golub and Van Loan, section
+    8.6), so the SVD could not have counted a value below the threshold.
+    False means "not proved", never "singular": a missing, non-finite or
+    poor ``inv`` gives False. R and all else are formed on a and inv scaled
+    by 2^-e and 2^e, which is exact and keeps every product finite.
     """
     if inv is None:
         return False
@@ -370,10 +360,8 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None,
     if e + math.frexp(xmax)[1] > 52:
         return False
     a, inv = np.ldexp(a, -e), np.ldexp(inv, e)
-    if residual is None:
-        product = inv @ a if a.shape[0] > a.shape[1] else a @ inv
-        residual = np.eye(len(product)) - product
-    r = float(np.linalg.norm(residual))
+    product = inv @ a if a.shape[0] > a.shape[1] else a @ inv
+    r = float(np.linalg.norm(np.eye(len(product)) - product))
     if not r < 0.5:
         return False
     n = max(a.shape)
@@ -384,22 +372,17 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None,
     return bound >= 2.0 * threshold and bound >= threshold + unit * n
 
 
-def _full_rank(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
-    """``_eliminate(a, tol) == min(a.shape)``, proved from the approximate
-    one-sided inverse ``inv`` when :func:`_certified` can, and decided by
-    the SVD otherwise."""
-    return _certified(a, tol, inv) or _eliminate(a, tol) == min(a.shape)
+def _rank(a: np.ndarray, tol: float, inv: np.ndarray | None = None) -> int:
+    """``_eliminate(a, tol)``, with no SVD when the approximate one-sided
+    inverse ``inv`` lets :func:`_certified` prove the full ``min(a.shape)``."""
+    return min(a.shape) if _certified(a, tol, inv) else _eliminate(a, tol)
 
 
 def _require_rank(a: np.ndarray, tol: float, error: type[_RankError], what: str,
-                  inv: np.ndarray | None = None, residual: np.ndarray | None = None) -> None:
+                  inv: np.ndarray | None = None) -> None:
     """Raise ``error`` carrying the rank when square ``a`` is singular at
-    ``tol``; an approximate inverse ``inv`` (and its ``residual``) that
-    :func:`_certified` accepts settles it with no SVD."""
-    if _certified(a, tol, inv, residual):
-        return
-    n = a.shape[0]
-    found = _eliminate(a, tol)
+    ``tol`` (see :func:`_rank`)."""
+    found, n = _rank(a, tol, inv), a.shape[0]
     if found < n:
         raise error(f"{what} is singular at tol={tol:g}: rank {found} of {n}", rank=found)
 
@@ -423,14 +406,13 @@ def invert(m: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
     The map is singular when fewer than ``dim`` singular values reach
     ``tol * max-entry`` (see :func:`rank`), or in double precision, when LU
     meets an exactly zero pivot or the inverse overflows; the exception carries
-    the rank.
+    the rank. A map with a NaN or inf entry has rank 0.
 
-    A map with a NaN or inf entry is rejected first, with rank 0. Then LU
-    inverts the map, and the inverse is polished with a Newton step when
-    the raw residual ``max-entry(A M - I)`` exceeds a fraction of ``tol``,
-    so results stay usable up to condition numbers around 1e6. Last, the
-    polished inverse and its residual certify full rank when they can
-    (see ``_certified``); only when they cannot does the SVD decide it.
+    The inverse is LU's (``np.linalg.inv``), unrefined: its residual sits
+    near the rounding floor cond(A) eps, which no working-precision Newton
+    step gets below (N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 14). It certifies full rank when it can
+    (see ``_certified``); only when it cannot does the SVD decide it.
     """
     inv, _ = invert_with_rcond(m, tol)
     return inv
@@ -446,27 +428,16 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
         raise NonSquare(f"cannot invert a {m.entries.shape} map")
     a = m.entries
     n = a.shape[0]
-    if not np.isfinite(a).all():
-        _require_rank(a, tol, Singular, "matrix")  # rank 0, so it raises
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         inv = None
     if inv is None or not np.isfinite(inv).all():
+        # a non-finite map, which has rank 0, raises here or at the certificate below
         _require_rank(a, tol, Singular, "matrix")
         found = min(int(np.linalg.matrix_rank(a)), n - 1)
         raise Singular(f"matrix is singular in double precision: rank {found} of {n}", rank=found)
-    eye = np.eye(n)
-    residual = eye - a @ inv
-    for _ in range(2):
-        if float(np.abs(residual).max()) <= 0.25 * tol:
-            break
-        polished = inv + inv @ residual
-        after = eye - a @ polished
-        if not float(np.abs(after).max()) < float(np.abs(residual).max()):
-            break
-        inv, residual = polished, after
-    _require_rank(a, tol, Singular, "matrix", inv, residual)
+    _require_rank(a, tol, Singular, "matrix", inv)
     norm1 = float(np.abs(a).sum(axis=0).max())
     inorm1 = float(np.abs(inv).sum(axis=0).max())
     rcond = 1.0 / (norm1 * inorm1) if norm1 * inorm1 > 0 else 0.0

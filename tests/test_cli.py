@@ -175,6 +175,18 @@ def test_interpolate_block_pair(files, tmp_path, capsys):
     assert np.allclose(frame_operator(stitched).entries, np.eye(2))
 
 
+def test_interpolate_without_out_prints_the_stitched_matrices(files, capsys):
+    code, out, _ = run(
+        capsys, "interpolate", files["block1"], files["block2"], "--scalars", "1,1,0.5,0.5", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["matrices"]["functionals"] == [[1, 0], [0, 1], [1, 0], [0, 1]]
+    assert doc["matrices"]["vectors"] == [[0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5]]
+    code, out, _ = run(capsys, "interpolate", files["block1"], files["block2"], "--scalars", "1,1,0.5,0.5")
+    assert code == 0 and "functionals:" in out and "vectors:" in out
+
+
 def test_interpolate_contract_violation_exits_2(files, capsys):
     code, out, _ = run(
         capsys, "interpolate", files["block1"], files["block2"], "--scalars", "1,1,1,1", "--json"

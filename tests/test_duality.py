@@ -100,6 +100,20 @@ def test_is_dual_is_symmetric():
 # left/right inverse families
 
 
+@pytest.mark.parametrize("make", [
+    lambda frame, u, v: right_inverse_from(frame, v),
+    lambda frame, u, v: left_inverse_from(frame, u),
+    lambda frame, u, v: dual_from_parameters(frame, v, v),
+    lambda frame, u, v: dual_from_parameters(frame, u, u),
+])
+def test_parameters_of_the_wrong_shape_are_rejected(make):
+    frame = tall_frame()  # d = 2, n = 3
+    u = umap(frame, np.zeros((3, 2)))
+    v = vmap(frame, np.zeros((2, 3)))
+    with pytest.raises(SpaceMismatch):
+        make(frame, u, v)
+
+
 def test_right_inverse_base_point():
     frame = tall_frame()
     s_inv = np.linalg.inv(frame_operator(frame).entries)
@@ -257,6 +271,11 @@ def test_unique_dual_standard_basis():
 
 def test_unique_dual_fails_for_tall_frames():
     assert not has_unique_dual(tall_frame())
+
+
+def test_unique_dual_fails_for_a_rank_deficient_tau():
+    # f_k(tau_j) = delta_kj exactly, but tau has rank 1 at tol relative to its largest entry
+    assert not has_unique_dual(make_frame(np.diag([1.0, 1e12]), np.diag([1.0, 1e-12])))
 
 
 def test_unique_dual_fails_without_biorthogonality():

@@ -113,6 +113,35 @@ def test_frame_pair_shape_checks():
         )
 
 
+def test_frame_pair_rejects_vectors_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        FramePair(
+            x_space=PNormSpace(2, 2.0),
+            seq_space=PNormSpace(3, 2.0),
+            functionals=np.zeros((3, 2)),
+            vectors=np.zeros((3, 2)),
+        )
+
+
+def test_reconstruct_rejects_a_vector_off_x_space():
+    with pytest.raises(DimensionMismatch):
+        reconstruct(standard_frame(2), Vector(PNormSpace(3, 2.0), [1.0, 2.0, 3.0]))
+
+
+def test_from_factorization_rejects_incompatible_shapes():
+    x, seq = PNormSpace(2, 2.0), PNormSpace(3, 2.0)
+    u = LinearMap(x, seq, np.ones((3, 2)))
+    with pytest.raises(DimensionMismatch):
+        from_factorization(u, LinearMap(PNormSpace(4, 2.0), x, np.ones((2, 4))))
+
+
+def test_basis_factorization_rejects_a_basis_that_is_not_d_by_d():
+    frame = standard_frame(2)
+    basis = LinearMap(PNormSpace(3, 2.0), PNormSpace(3, 2.0), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        basis_factorization(frame, basis)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

