@@ -189,9 +189,8 @@ def _bound_numbers(report: Report, label: str, bound: NormBound, tol: float) -> 
         report.add(f"{label} (upper)", bound.upper, tol)
 
 
-def _require_finite(report: Report) -> None:
-    numbers = [item["value"] for item in report.numbers if isinstance(item["value"], float)]
-    if not all(np.isfinite(m).all() for m in (numbers, *report.matrices.values())):
+def _require_finite(*results) -> None:
+    if not all(np.isfinite(m).all() for m in results):
         raise FrameFormatError("a result is out of the double range: input entries too large or too small")
 
 
@@ -304,6 +303,7 @@ def _cmd_sample_duals(args, tol: float, report: Report) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     for i in range(args.count):
         cand = generators.random_dual(frame, args.seed + i)
+        _require_finite(cand.frame.functionals, cand.frame.vectors)
         ok = duality.is_dual(frame, cand.frame, tol)
         report.add(f"sample {i} is_dual", ok, tol)
         report.add(f"sample {i} rcond", frames._canonical(cand.frame, tol).rcond, tol)
@@ -378,7 +378,8 @@ def main(argv=None) -> int:
         # _require_finite, so numpy's warnings would only be noise
         with np.errstate(all="ignore"):
             code = _COMMANDS[args.command](args, _resolve_tol(args), report)
-        _require_finite(report)
+        numbers = [item["value"] for item in report.numbers if isinstance(item["value"], float)]
+        _require_finite(numbers, *report.matrices.values())
     except _INPUT_ERRORS as exc:
         return _error_exit(report, exc, as_json, EXIT_INPUT)
     except PasfError as exc:

@@ -121,7 +121,9 @@ def dual_from_parameters(
     is invertible; otherwise :class:`GateSingular` is raised. The gate is
     computed as S^-1 + (V (I - P)) U, reusing L's V (I - P), and must agree
     entrywise with the candidate's frame operator theta_omega theta_g, a
-    cross-check guarding the expansion algebra.
+    cross-check guarding the expansion algebra. A candidate with an entry
+    past the double range, whose drift bounds nothing, is returned
+    unchecked, as :func:`canonical_dual` returns one.
     """
     d, n = frame.dim, frame.count
     _require_shape("U", u, (n, d), "x_space into seq_space")
@@ -134,6 +136,9 @@ def dual_from_parameters(
     gate = si + v_rest @ u.entries
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
     _require_rank(gate, tol, GateSingular, "gate operator", c.s.entries)
+    candidate = DualCandidate(frame=replace(frame, functionals=g, vectors=omega), u_param=u, v_param=v)
+    if not (np.isfinite(g).all() and np.isfinite(omega).all()):
+        return candidate
     candidate_op = omega @ g
     drift = float(np.abs(candidate_op - gate).max())
     # agreement is limited by what rounding can achieve on the largest
@@ -153,10 +158,7 @@ def dual_from_parameters(
         raise ConsistencyError(
             f"gate operator and candidate frame operator disagree by {drift:.3e}"
         )
-    dual = FramePair(
-        x_space=frame.x_space, seq_space=frame.seq_space, functionals=g, vectors=omega
-    )
-    return DualCandidate(frame=dual, u_param=u, v_param=v)
+    return candidate
 
 
 def parameters_from_dual(

@@ -233,20 +233,17 @@ def _ascent(a: np.ndarray, p: float, starts: np.ndarray, max_iter: int = 100) ->
     return done
 
 
-# fixed 64-bit seeds for the deterministic restarts of the p-norm search
-_ASCENT_SEEDS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
-                 0xD6E8FEB86659FD93, 0xA5A5A5A5A5A5A5A5, 0x0123456789ABCDEF,
-                 0xFEDCBA9876543210, 0x2545F4914F6CDD1D)
+# the 64-bit seed of the p-norm search's uniform starts
+_ASCENT_SEED = 0x9E3779B97F4A7C15
 
 
 @functools.lru_cache(maxsize=64)
 def _seeded_starts(n: int, count: int) -> np.ndarray:
-    """The ``count`` seeded uniform starts in [-1, 1)^n, built once per
-    (n, count) and returned read-only."""
-    starts = np.empty((count, n))
-    for k in range(count):
-        rng = np.random.default_rng(_ASCENT_SEEDS[k % len(_ASCENT_SEEDS)] + k)
-        starts[k] = rng.uniform(-1.0, 1.0, size=n)
+    """The ``count`` uniform starts in [-1, 1)^n, the rows of one row-major
+    portable-generator fill from seed 0x9E3779B97F4A7C15 (so more starts
+    extend fewer), built once per (n, count) and returned read-only."""
+    from .generators import PortableRng  # here, not at the top: generators imports spaces
+    starts = PortableRng(_ASCENT_SEED).matrix(count, n)
     starts.setflags(write=False)
     return starts
 
@@ -256,9 +253,10 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
 
     Exact for p in {1, 2, inf}. Otherwise returns a bracket: the lower
     bound is the best value of a dual-vector ascent run as one block from
-    ``max(restarts, 8)`` deterministic random starts, the all-ones vector
-    and the coordinate direction of the largest-norm column; the upper
-    bound is the interpolation bound ||A||_1^(1/p) * ||A||_inf^(1-1/p).
+    the all-ones vector, the largest-norm column's coordinate direction and
+    ``max(restarts, 8)`` uniform starts, one row-major ``PortableRng`` fill
+    from seed 0x9E3779B97F4A7C15; the upper bound is the interpolation
+    bound ||A||_1^(1/p) * ||A||_inf^(1-1/p).
     Any NaN or inf entry gives ``NormBound(nan, nan, exact=False)``.
 
     The sums and the search run on A scaled by the power of two 2^-e that

@@ -140,3 +140,12 @@ def count_witnesses(monkeypatch) -> list:
 
     monkeypatch.setattr(similarity, "witness_from_frames", counting)
     return formed
+
+
+def beyond_range_dual_frame() -> FramePair:
+    """A valid frame (rcond 0.05) whose duals lie past the double range:
+    f is scaled by 1e-315 and tau by 1e300, so S^-1 tau is near 1e315."""
+    from pasf import random_frame
+
+    frame = random_frame(3, 5, 2.0, seed=1)
+    return make_frame(frame.functionals * 1e-315, frame.vectors * 1e300)

@@ -6,7 +6,9 @@ import pytest
 from pasf import load_frame, random_frame, save_frame, is_dual, frame_operator
 from pasf.cli import main
 
-from helpers import block_orthogonal_pair, count_witnesses, make_frame, scaled_frame, standard_frame
+from helpers import (
+    beyond_range_dual_frame, block_orthogonal_pair, count_witnesses, make_frame, scaled_frame, standard_frame,
+)
 
 
 @pytest.fixture
@@ -368,6 +370,16 @@ def test_result_out_of_double_range_exits_1(tmp_path, capsys):
         paths.append(str(tmp_path / f"{name}.json"))
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     code, out, _ = run(capsys, "similarity", *paths, "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "FrameFormatError"
+
+
+@pytest.mark.parametrize("argv", [["canonical-dual"], ["sample-duals", "--count", "2"]])
+def test_duals_out_of_double_range_exit_1(tmp_path, capsys, argv):
+    # a valid frame whose duals overflow is an input out of range, not a property failure
+    path = tmp_path / "frame.json"
+    save_frame(beyond_range_dual_frame(), path)
+    code, out, _ = run(capsys, *argv, str(path), "--json")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "FrameFormatError"
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pasf import (
+    GenerationFailed,
     InsufficientCoordinates,
     PasfError,
     canonical_dual,
@@ -17,7 +18,7 @@ from pasf import (
 )
 from pasf.generators import PortableRng
 
-from helpers import block_orthogonal_pair, make_frame, maxdiff
+from helpers import beyond_range_dual_frame, block_orthogonal_pair, make_frame, maxdiff
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,12 @@ def test_random_frame_rejects_bad_dimensions():
         random_frame(1, 65)
 
 
+def test_random_frame_rcond_floor_above_one_fails():
+    # rcond = 1 / (||S||_1 ||S^-1||_1) <= 1 for every map, so no draw clears 2
+    with pytest.raises(GenerationFailed):
+        random_frame(2, 3, min_rcond=2.0)
+
+
 def test_random_frame_exponents_are_configurable():
     frame = random_frame(2, 4, p=1.5, q=3.0, seed=1)
     assert frame.seq_space.p == 1.5
@@ -161,6 +168,15 @@ def test_random_dual_scale_stays_finite_for_a_frame_with_subnormal_vectors():
             random_dual(tiny, 0)
         except PasfError:
             pass
+
+
+def test_random_dual_returns_a_dual_past_the_double_range_unchecked():
+    # the gate is invertible, but omega overflows; its drift bounds nothing,
+    # so the candidate comes back as the canonical dual would, with no
+    # ConsistencyError
+    frame = beyond_range_dual_frame()
+    assert validate(frame).rcond > 0.05
+    assert not np.isfinite(random_dual(frame, 0).frame.vectors).all()
 
 
 def test_random_dual_draws_at_one_over_nd_for_a_frame_in_the_unit_band():
@@ -221,6 +237,21 @@ def test_oracle_rejects_perturbed_dual():
     bumped = np.array(dual.functionals)
     bumped[0, 0] += 0.1
     assert not reconstruction_oracle(frame, make_frame(bumped, dual.vectors))
+
+
+def test_oracle_rejects_a_count_mismatch():
+    frame = random_frame(2, 4, seed=8)
+    other = random_frame(2, 5, seed=8)
+    assert not reconstruction_oracle(frame, other)
+
+
+def test_oracle_rejects_a_dual_whose_vectors_alone_are_wrong():
+    # x = sum g_k(x) tau_k still holds; only x = sum f_k(x) omega_k fails
+    frame = random_frame(2, 4, seed=8)
+    dual = canonical_dual(frame)
+    bumped = np.array(dual.vectors)
+    bumped[0, 0] += 0.1
+    assert not reconstruction_oracle(frame, make_frame(dual.functionals, bumped))
 
 
 def test_oracle_agrees_with_criterion():
