@@ -17,6 +17,7 @@ theta_tau and all left inverses of theta_f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import DEFAULT_TOL, LinearMap, NormBound, _rank, _require_rank, _within
+from .spaces import DEFAULT_TOL, LinearMap, NormBound, _absmax, _rank, _require_rank, _sealed, _within
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -130,29 +131,34 @@ def dual_from_parameters(
     _require_shape("V", v, (d, n), "seq_space into x_space")
     c = _canonical(frame, tol)
     si = c.s_inv.entries
-    g = c.dual_functionals + c.complement @ u.entries
-    v_rest = v.entries @ c.complement
-    omega = c.dual_vectors + v_rest
-    gate = si + v_rest @ u.entries
+    g = c.complement @ u.entries
+    g += c.dual_functionals
+    omega = v.entries @ c.complement  # V (I - P) until the gate has read it, then L
+    gate = omega @ u.entries
+    gate += si
+    omega += c.dual_vectors
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
     _require_rank(gate, tol, GateSingular, "gate operator", c.s.entries)
-    candidate = DualCandidate(frame=replace(frame, functionals=g, vectors=omega), u_param=u, v_param=v)
-    if not (np.isfinite(g).all() and np.isfinite(omega).all()):
+    candidate = DualCandidate(frame=replace(frame, functionals=_sealed(g), vectors=_sealed(omega)),
+                              u_param=u, v_param=v)
+    g_max, omega_max = _absmax(g), _absmax(omega)
+    if not (math.isfinite(g_max) and math.isfinite(omega_max)):
         return candidate
-    candidate_op = omega @ g
-    drift = float(np.abs(candidate_op - gate).max())
+    off = omega @ g
+    off -= gate
+    drift = _absmax(off)
     # agreement is limited by what rounding can achieve on the largest
     # summands entering the cancellation, not only by the gate's own scale.
     # I - P rounds on the scale 1 + max|P|, so V (I - P) U carries error on
     # max|V| (1 + max|P|) max|U| even when it is far smaller itself; a
     # wrong expansion misses by a full summand, far above this floor
-    u_max, v_max = float(np.abs(u.entries).max()), float(np.abs(v.entries).max())
+    u_max, v_max = _absmax(u.entries), _absmax(v.entries)
     summands = (
-        float(np.abs(si).max())
-        + v_max * (1.0 + float(np.abs(c.projection).max())) * u_max
-        + float(np.abs(omega).max()) * float(np.abs(g).max())
+        _absmax(si)
+        + v_max * (1.0 + _absmax(c.projection)) * u_max
+        + omega_max * g_max
     )
-    threshold = _CROSS_CHECK_TOL * max(1.0, float(np.abs(gate).max()))
+    threshold = _CROSS_CHECK_TOL * max(1.0, _absmax(gate))
     threshold += 32.0 * n * n * np.finfo(float).eps * summands
     if not drift <= threshold:
         raise ConsistencyError(

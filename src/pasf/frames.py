@@ -30,10 +30,12 @@ from .spaces import (
     PNormSpace,
     Vector,
     _certified,
+    _exact_bound,
     _freeze,
     _lp,
     _rank,
     _require_rank,
+    _sealed,
     _within,
     compose,
     invert_with_rcond,
@@ -153,8 +155,7 @@ def _formed(form: Callable[[_Canonical], np.ndarray]) -> cached_property:
     def read_only(record: _Canonical) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             found = form(record)
-        found.setflags(write=False)
-        return found
+        return _sealed(found)
 
     return cached_property(read_only)
 
@@ -220,13 +221,22 @@ def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
     of S; a full rank may be certified from the one-sided inverses
     S^-1 theta_tau and theta_f S^-1, but the verdict is always the SVD
     rule's (see :func:`~pasf.spaces.rank`).
+
+    At p = 2 both bounds are exact and come from one SVD of S: a is its
+    smallest singular value and b its largest. Other exponents bracket
+    ||S^-1|| and ||S|| with :func:`~pasf.spaces.operator_norm`.
     """
     c, full = _canonical(frame, tol), min(frame.dim, frame.count)
+    if frame.x_space.p == 2.0:
+        sv = np.linalg.svd(c.s.entries, compute_uv=False)
+        lower, upper = _exact_bound(float(sv[-1])), _exact_bound(float(sv[0]))
+    else:
+        lower, upper = operator_norm(c.s_inv).reciprocal(), operator_norm(c.s)
     return FrameReport(
         frame_op=c.s,
         frame_op_inv=c.s_inv,
-        lower_bound=operator_norm(c.s_inv).reciprocal(),
-        upper_bound=operator_norm(c.s),
+        lower_bound=lower,
+        upper_bound=upper,
         parseval=_parseval(frame, tol),
         analysis_injective=_rank(frame.functionals, tol, c.dual_vectors) == full,
         synthesis_surjective=_rank(frame.vectors, tol, c.dual_functionals) == full,

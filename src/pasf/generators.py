@@ -30,7 +30,7 @@ import numpy as np
 from .errors import GateSingular, GenerationFailed, InsufficientCoordinates, NotAFrame
 from .duality import DualCandidate, dual_from_parameters
 from .frames import FramePair, _canonical
-from .spaces import DEFAULT_TOL, LinearMap, PNormSpace
+from .spaces import DEFAULT_TOL, LinearMap, PNormSpace, _absmax, _sealed
 
 #: Seeds are plain 64-bit unsigned integers (wider ints are masked).
 Seed = int
@@ -55,9 +55,7 @@ def _jump_table(count: int) -> tuple[np.ndarray, np.ndarray]:
     # MULT^0 .. MULT^(count-1); a Python 1 here would promote them to float64
     powers = np.concatenate(([np.uint64(1)], mult[:-1]))
     inc = np.cumsum(powers) * np.uint64(_INC)
-    mult.setflags(write=False)
-    inc.setflags(write=False)
-    return mult, inc
+    return _sealed(mult), _sealed(inc)
 
 
 class PortableRng:
@@ -94,21 +92,28 @@ class PortableRng:
         Bit-identical to ``scale * uniform_signed()`` called rows * cols
         times, but vectorised: the LCG states are one affine map of the
         current state each (see :func:`_jump_table`), in uint64, which wraps
-        mod 2^64, then shuffled and mapped to doubles as whole arrays.
+        mod 2^64, then shuffled and mapped to doubles as whole arrays, in
+        place, so that no more than two rows x cols arrays are live at once.
         """
         count = rows * cols
         if count == 0:
             return np.zeros((rows, cols))
-        mult, inc = _jump_table(count)
-        states = mult * np.uint64(self._state) + inc
-        self._state = int(states[-1])
-        x = states ^ (states >> np.uint64(30))
+        mult, inc = (table.reshape(rows, cols) for table in _jump_table(count))
+        x = mult * np.uint64(self._state)
+        x += inc
+        self._state = int(x[-1, -1])
+        shifted = np.empty_like(x)
+        x ^= np.right_shift(x, np.uint64(30), out=shifted)
         x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=shifted)
         x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        uniform = (x >> np.uint64(11)).astype(float) * 2.0 ** -53
-        return (scale * (2.0 * uniform - 1.0)).reshape(rows, cols)
+        x ^= np.right_shift(x, np.uint64(31), out=shifted)
+        del shifted  # freed before the doubles are made
+        uniform = np.right_shift(x, np.uint64(11), out=x).astype(float)
+        uniform *= 2.0 ** -52  # 2 u for u = k 2^-53 in [0, 1), exactly
+        uniform -= 1.0
+        uniform *= scale
+        return uniform
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
@@ -127,7 +132,7 @@ def random_frame(
     seed: Seed = 0,
     min_rcond: float = _MIN_RCOND,
 ) -> FramePair:
-    """A random valid frame: entries uniform in [-1, 1], resampled until
+    """A random valid frame: entries uniform in [-1, 1), resampled until
     the frame operator is comfortably invertible (rcond >= 1e-6).
 
     ``q`` defaults to ``p``. Dimensions are limited to 1 <= d <= n <= 64.
@@ -146,8 +151,8 @@ def random_frame(
         frame = FramePair(
             x_space=x_space,
             seq_space=seq_space,
-            functionals=rng.matrix(n, d),
-            vectors=rng.matrix(d, n),
+            functionals=_sealed(rng.matrix(n, d)),
+            vectors=_sealed(rng.matrix(d, n)),
         )
         try:
             rcond = _canonical(frame, DEFAULT_TOL).rcond
@@ -169,11 +174,13 @@ def random_dual(frame: FramePair, seed: Seed) -> DualCandidate:
     """
     d, n = frame.dim, frame.count
     rng = PortableRng(seed)
-    u_scale, v_scale = (math.ldexp(1.0 / (n * d), -max(math.frexp(float(np.abs(m).max()))[1], -1000))
+    u_scale, v_scale = (math.ldexp(1.0 / (n * d), -max(math.frexp(_absmax(m))[1], -1000))
                         for m in (frame.vectors, frame.functionals))
     for _ in range(_MAX_REJECTS):
-        u = LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=rng.matrix(n, d, u_scale))
-        v = LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=rng.matrix(d, n, v_scale))
+        u = LinearMap(domain=frame.x_space, codomain=frame.seq_space,
+                      entries=_sealed(rng.matrix(n, d, u_scale)))
+        v = LinearMap(domain=frame.seq_space, codomain=frame.x_space,
+                      entries=_sealed(rng.matrix(d, n, v_scale)))
         try:
             return dual_from_parameters(frame, u, v)
         except GateSingular:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _within, identity
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _within, identity
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def interpolate(
         raise NotOrthogonal("frames are not orthogonal")
     a, b = ops.a_op.entries, ops.b_op.entries
     c, dd = ops.c_op.entries, ops.d_op.entries
-    residual = float(np.abs(c @ a + dd @ b - np.eye(d)).max())
+    residual = _absmax(c @ a + dd @ b - np.eye(d))
     if not residual <= tol:
         raise ContractViolated(
             f"C A + D B deviates from the identity by {residual:.3e}", residual=residual

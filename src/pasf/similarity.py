@@ -29,7 +29,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _held, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _rank, _within
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _rank, _within
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,11 @@ def _similarity(
     if not witness.invertible:
         raise ConsistencyError("projections agree but a witness candidate is singular")
     slack = 10.0 * tol
-    g_drift = float(np.abs(frame2.functionals - frame1.functionals @ witness.t_fg.entries).max())
-    w_drift = float(np.abs(frame2.vectors - witness.t_tau_omega.entries @ frame1.vectors).max())
+    g_off = frame1.functionals @ witness.t_fg.entries
+    g_off -= frame2.functionals
+    w_off = witness.t_tau_omega.entries @ frame1.vectors
+    w_off -= frame2.vectors
+    g_drift, w_drift = _absmax(g_off), _absmax(w_off)
     if not (g_drift <= slack and w_drift <= slack):
         drift = max(g_drift, w_drift)
         raise ConsistencyError(f"projections agree but witness transport drifts by {drift:.3e}")

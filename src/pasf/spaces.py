@@ -67,9 +67,25 @@ class PNormSpace:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+    """A read-only float64 array of ``arr``'s values: ``arr`` itself when it
+    is already a read-only float64 array that owns its data, else a copy."""
+    if arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable:
+        return arr
+    return _sealed(np.array(arr, dtype=float, copy=True))
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which the library has just made, marked read-only, so that
+    :func:`_freeze` keeps it instead of copying it."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _absmax(a: np.ndarray) -> float:
+    """max|a_ij| of a non-empty array, with no |a| formed; NaN if any entry
+    is NaN, so it doubles as a finiteness test. The outer abs turns a -0.0
+    maximum, as of [-0.0, 0.0], into 0.0."""
+    return float(abs(max(a.max(), -a.min())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +162,7 @@ class NormBound:
 def _lp(v: np.ndarray, p: float) -> float:
     """l^p norm of a vector; for p outside {1, inf} see :func:`_lp_rows`."""
     if p == INF:
-        return float(np.abs(v).max()) if v.size else 0.0
+        return _absmax(v) if v.size else 0.0
     if p == 1.0:
         return float(np.abs(v).sum())
     return float(_lp_rows(v, p)) if v.size else 0.0
@@ -243,9 +259,7 @@ def _seeded_starts(n: int, count: int) -> np.ndarray:
     portable-generator fill from seed 0x9E3779B97F4A7C15 (so more starts
     extend fewer), built once per (n, count) and returned read-only."""
     from .generators import PortableRng  # here, not at the top: generators imports spaces
-    starts = PortableRng(_ASCENT_SEED).matrix(count, n)
-    starts.setflags(write=False)
-    return starts
+    return _sealed(PortableRng(_ASCENT_SEED).matrix(count, n))
 
 
 def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
@@ -270,11 +284,12 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
         )
     p = m.domain.p
     a = m.entries
-    if not np.isfinite(a).all():
+    top = _absmax(a)
+    if not math.isfinite(top):
         return NormBound(lower=math.nan, upper=math.nan, exact=False)
     if p == 2.0:
         return _exact_bound(float(np.linalg.norm(a, 2)))
-    e = math.frexp(float(np.abs(a).max()))[1]
+    e = math.frexp(top)[1]
     a = np.ldexp(a, -e)
     n1 = _ldexp(float(np.abs(a).sum(axis=0).max()), e)
     ninf = _ldexp(float(np.abs(a).sum(axis=1).max()), e)
@@ -320,7 +335,7 @@ def _eliminate(a: np.ndarray, tol: float) -> int:
     One LAPACK SVD decides it. A matrix with a non-finite entry has rank
     0, so NaN and inf fail every rank check instead of reaching LAPACK.
     """
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    scale = _absmax(a) if a.size else 0.0
     if scale == 0.0 or not math.isfinite(scale):
         return 0
     return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) >= tol * scale))
@@ -349,8 +364,8 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
     """
     if inv is None:
         return False
-    scale = float(np.abs(a).max())
-    xmax = float(np.abs(inv).max())
+    scale = _absmax(a)
+    xmax = _absmax(inv)
     if not (0.0 < scale < INF and 0.0 < xmax < INF):
         return False
     e = math.frexp(scale)[1]
@@ -359,7 +374,9 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
         return False
     a, inv = np.ldexp(a, -e), np.ldexp(inv, e)
     product = inv @ a if a.shape[0] > a.shape[1] else a @ inv
-    r = float(np.linalg.norm(np.eye(len(product)) - product))
+    # -R in place, whose norm is R's; the fresh product is contiguous, so ravel is a view
+    product.ravel()[:: len(product) + 1] -= 1.0
+    r = float(np.linalg.norm(product))
     if not r < 0.5:
         return False
     n = max(a.shape)
@@ -387,7 +404,7 @@ def _require_rank(a: np.ndarray, tol: float, error: type[_RankError], what: str,
 
 def _within(a: np.ndarray, b: np.ndarray | float, tol: float) -> bool:
     """The absolute criterion test ``max|a - b| <= tol``, entrywise; NaN fails it."""
-    return float(np.abs(a - b).max()) <= tol
+    return _absmax(a - b) <= tol
 
 
 def rank(m: LinearMap, tol: float = DEFAULT_TOL) -> int:
@@ -439,7 +456,7 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
     norm1 = float(np.abs(a).sum(axis=0).max())
     inorm1 = float(np.abs(inv).sum(axis=0).max())
     rcond = 1.0 / (norm1 * inorm1) if norm1 * inorm1 > 0 else 0.0
-    return LinearMap(domain=m.codomain, codomain=m.domain, entries=inv), rcond
+    return LinearMap(domain=m.codomain, codomain=m.domain, entries=_sealed(inv)), rcond
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +469,7 @@ def compose(a: LinearMap, b: LinearMap) -> LinearMap:
         raise DimensionMismatch(
             f"cannot compose: inner dims {a.domain.dim} and {b.codomain.dim} differ"
         )
-    return LinearMap(domain=b.domain, codomain=a.codomain, entries=a.entries @ b.entries)
+    return LinearMap(domain=b.domain, codomain=a.codomain, entries=_sealed(a.entries @ b.entries))
 
 
 def identity(space: PNormSpace) -> LinearMap:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,19 @@ def test_is_dual_self_fails_when_not_parseval():
 def test_is_dual_self_holds_for_parseval():
     frame = standard_frame(2)
     assert is_dual(frame, frame)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["functionals", "vectors"])
+def test_is_dual_fails_on_a_non_finite_last_entry(bad, side):
+    # only the last entry of one cross-composition's inputs is bad, so a
+    # maximum that skipped NaN would pass the finite rest
+    frame = tall_frame()
+    dual = canonical_dual(frame)
+    broken = getattr(dual, side).copy()
+    broken[-1, -1] = bad
+    with np.errstate(invalid="ignore"):
+        assert not is_dual(frame, replace(dual, **{side: broken}))
 
 
 def test_is_dual_requires_same_spaces():

@@ -205,6 +205,16 @@ def test_validate_bounds_match_eigenvalues_for_spd_case():
         assert report.upper_bound.value == pytest.approx(eigs.max(), rel=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (8, 16)])
+def test_p2_bounds_are_the_extreme_singular_values_of_s(shape):
+    # a = 1/||S^-1|| = sigma_min(S) and b = ||S|| = sigma_max(S), from one SVD of S
+    for seed in range(5):
+        report = validate(random_frame(*shape, p=2.0, seed=seed))
+        sv = np.linalg.svd(report.frame_op.entries, compute_uv=False)
+        assert report.lower_bound.exact and report.upper_bound.exact
+        assert [report.lower_bound.value, report.upper_bound.value] == sv[[-1, 0]].tolist()
+
+
 def test_canonical_pair_is_a_frame_with_inverse_operator():
     for seed in range(30):
         frame = random_frame(3, 5, seed=seed)
@@ -485,6 +495,43 @@ def test_canonical_products_are_kept_per_tol():
         projection(frame, 1e-2)
     with pytest.raises(NotAFrame):
         canonical_dual(frame, 1e-2)
+
+
+def read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def test_a_read_only_owned_float_array_is_kept_not_copied():
+    f, t = read_only(PortableRng(5).matrix(3, 2)), read_only(PortableRng(6).matrix(2, 3))
+    frame = FramePair(PNormSpace(2), PNormSpace(3), f, t)
+    assert frame.functionals is f and frame.vectors is t
+    assert LinearMap(PNormSpace(2), PNormSpace(3), f).entries is f
+    assert not canonical_dual(frame).functionals.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["writable", "read-only view", "integer"])
+def test_any_other_array_is_copied(kind):
+    given = {
+        "writable": PortableRng(5).matrix(3, 2),
+        "read-only view": read_only(PortableRng(5).matrix(3, 4))[:, 1:3],
+        "integer": np.array([[1, 2], [3, 4], [5, 6]]),
+    }[kind]
+    if kind == "integer":
+        given.setflags(write=False)
+    vectors = np.eye(2, 3)
+    frame = FramePair(PNormSpace(2), PNormSpace(3), given, vectors)
+    m = LinearMap(PNormSpace(2), PNormSpace(3), given)
+    for kept in (frame.functionals, frame.vectors, m.entries):
+        assert kept.dtype == np.float64 and kept.flags.owndata and not kept.flags.writeable
+    assert frame.functionals is not given and m.entries is not given and frame.vectors is not vectors
+    before = frame.functionals.copy()
+    vectors[0, 0] = 7.0
+    if given.flags.writeable:
+        given[0, 0] = 7.0
+    assert frame.vectors[0, 0] == 1.0
+    assert np.array_equal(frame.functionals, before) and np.array_equal(m.entries, before)
 
 
 def test_only_validate_computes_norm_brackets(monkeypatch):

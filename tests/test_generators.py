@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,19 @@ def test_rng_matrix_fill_is_row_major_and_reproducible():
                 assert a.shape == (rows, cols)
                 assert a.flatten().tolist() == expected
                 assert rng.next_u64() == flat.next_u64()
+
+
+def test_rng_matrix_fill_keeps_at_most_three_arrays_live():
+    # the fill shifts and scales in place; its jump table is cached, so the
+    # warm-up call builds it outside the traced call
+    PortableRng(1).matrix(64, 64)
+    tracemalloc.start()
+    try:
+        PortableRng(1).matrix(64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 64 * 64 * 8 + 2048
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,12 @@ def test_vector_norm_at_p2_neither_underflows_nor_overflows(scale):
     assert norm == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15, abs=0.0)
 
 
+def test_sup_norm_of_signed_zeros_is_positive_zero():
+    # the largest |v_i| of [0.0, -0.0] is 0.0, not the -0.0 that max(v) and -min(v) can both be
+    for coords in ([0.0, -0.0], [-0.0, -0.0], [-0.0]):
+        assert math.copysign(1.0, vector_norm(PNormSpace(len(coords), INF), vec(coords, INF))) == 1.0
+
+
 def test_vector_norm_rejects_wrong_space():
     with pytest.raises(DimensionMismatch):
         vector_norm(PNormSpace(2, 1.0), vec([3, -4], 2.0))
@@ -338,9 +344,10 @@ def test_operator_norm_of_map_whose_sums_overflow_stays_quiet(shape, p):
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_operator_norm_of_non_finite_map_is_nan_bracket(p, bad):
-    got = operator_norm(lmap([[bad, 1.0], [0.0, 1.0]], p=p))
+@pytest.mark.parametrize(("bad", "last"), [(np.nan, False), (np.inf, False), (np.nan, True), (np.inf, True)],
+                         ids=["nan", "inf", "nan-last", "inf-last"])
+def test_operator_norm_of_non_finite_map_is_nan_bracket(p, bad, last):
+    got = operator_norm(lmap([[1.0, 1.0], [0.0, bad]] if last else [[bad, 1.0], [0.0, 1.0]], p=p))
     assert np.isnan(got.lower) and np.isnan(got.upper) and not got.exact
     assert not got.contains(1.0)
 
