@@ -4,6 +4,7 @@ Grammar::
 
     pasf <subcommand> [files...] [--tol X] [--json] [--out PATH]
                       [--seed N] [--count N] [--scalars a,b,c,d]
+                      [--matrices] [--out-dir DIR]
 
 Exit codes are a contract scripts can branch on without parsing text:
 0 = the property holds / the construction succeeded, 2 = the property
@@ -13,7 +14,8 @@ variable ``PASF_TOL`` overrides the default tolerance (1e-9) whenever
 ``--tol`` is absent; either must be a finite number > 0. With
 ``--json`` every invocation emits exactly one JSON object; matrices
 there are raw doubles, while human output rounds to 6 significant
-digits.
+digits. Errors are reported in a fixed order: the tolerance first, then
+each file in the order given, then the subcommand's own options.
 """
 
 from __future__ import annotations
@@ -112,55 +114,12 @@ def _wants_json(argv: list[str]) -> bool:
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pasf", description="Frame pairs on finite-dimensional l^p spaces.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(sp):
-        sp.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-9 or $PASF_TOL)")
-        sp.add_argument("--json", action="store_true", help="emit one JSON object")
-
-    sp = sub.add_parser("validate", help="decide the p-ASF property and report bounds")
-    sp.add_argument("file")
-    sp.add_argument("--matrices", action="store_true", help="include S and S^-1 in the report")
-    common(sp)
-
-    sp = sub.add_parser("canonical-dual", help="compute the canonical dual")
-    sp.add_argument("file")
-    sp.add_argument("--out", help="write the dual as a frame file")
-    common(sp)
-
-    sp = sub.add_parser("check-dual", help="test the dual criterion for two frames")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-    common(sp)
-
-    sp = sub.add_parser("check-orthogonal", help="test orthogonality of two frames")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-    common(sp)
-
-    sp = sub.add_parser("similarity", help="decide similarity and print the witnesses")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-    common(sp)
-
-    sp = sub.add_parser("interpolate", help="stitch two orthogonal Parseval frames")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-    sp.add_argument("--scalars", required=True, metavar="a,b,c,d", help="scalars with c*a + d*b = 1")
-    sp.add_argument("--out", help="write the stitched frame")
-    common(sp)
-
-    sp = sub.add_parser("sample-duals", help="sample the dual family of a frame")
-    sp.add_argument("file")
-    sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out-dir", help="write each sample as a frame file here")
-    common(sp)
-
-    sp = sub.add_parser("factorize", help="emit the analysis/synthesis factorization")
-    sp.add_argument("file")
-    sp.add_argument("--out", help="write both matrices as a JSON file")
-    common(sp)
-
+    for name, (_, help_, files, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for file in files:
+            sp.add_argument(file)
+        for flag, kwargs in options + _COMMON_OPTIONS:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -202,11 +161,11 @@ def _emit(report: Report, as_json: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments, the tolerance, the report
+# and the frames its table entry names, loaded in that order
 
 
-def _cmd_validate(args, tol: float, report: Report) -> int:
-    frame = fileio.load_frame(args.file)
+def _cmd_validate(args, tol: float, report: Report, frame) -> int:
     try:
         fr = frames.validate(frame, tol)
     except NotAFrame as exc:
@@ -226,8 +185,7 @@ def _cmd_validate(args, tol: float, report: Report) -> int:
     return EXIT_OK
 
 
-def _cmd_canonical_dual(args, tol: float, report: Report) -> int:
-    frame = fileio.load_frame(args.file)
+def _cmd_canonical_dual(args, tol: float, report: Report, frame) -> int:
     fr = frames.validate(frame, tol)
     dual = duality.canonical_dual(frame, tol)
     lo, hi = duality.canonical_dual_bounds(fr)
@@ -243,9 +201,7 @@ def _cmd_canonical_dual(args, tol: float, report: Report) -> int:
     return EXIT_OK
 
 
-def _cmd_check_dual(args, tol: float, report: Report) -> int:
-    frame = fileio.load_frame(args.file1)
-    cand = fileio.load_frame(args.file2)
+def _cmd_check_dual(args, tol: float, report: Report, frame, cand) -> int:
     holds = duality.is_dual(frame, cand, tol)
     report.verdict = "dual pair" if holds else "not a dual pair"
     report.add("criterion", holds, tol)
@@ -253,18 +209,14 @@ def _cmd_check_dual(args, tol: float, report: Report) -> int:
     return EXIT_OK if holds else EXIT_FAIL
 
 
-def _cmd_check_orthogonal(args, tol: float, report: Report) -> int:
-    frame1 = fileio.load_frame(args.file1)
-    frame2 = fileio.load_frame(args.file2)
+def _cmd_check_orthogonal(args, tol: float, report: Report, frame1, frame2) -> int:
     holds = orthogonality.is_orthogonal(frame1, frame2, tol)
     report.verdict = "orthogonal" if holds else "not orthogonal"
     report.add("criterion", holds, tol)
     return EXIT_OK if holds else EXIT_FAIL
 
 
-def _cmd_similarity(args, tol: float, report: Report) -> int:
-    frame1 = fileio.load_frame(args.file1)
-    frame2 = fileio.load_frame(args.file2)
+def _cmd_similarity(args, tol: float, report: Report, frame1, frame2) -> int:
     holds, witness = similarity._similarity(frame1, frame2, tol)
     witness = witness or similarity.witness_from_frames(frame1, frame2, tol)
     report.verdict = "similar" if holds else "not similar"
@@ -275,9 +227,7 @@ def _cmd_similarity(args, tol: float, report: Report) -> int:
     return EXIT_OK if holds else EXIT_FAIL
 
 
-def _cmd_interpolate(args, tol: float, report: Report) -> int:
-    frame1 = fileio.load_frame(args.file1)
-    frame2 = fileio.load_frame(args.file2)
+def _cmd_interpolate(args, tol: float, report: Report, frame1, frame2) -> int:
     try:
         a, b, c, d = (float(s) for s in args.scalars.split(","))
     except ValueError:
@@ -295,10 +245,9 @@ def _cmd_interpolate(args, tol: float, report: Report) -> int:
     return EXIT_OK
 
 
-def _cmd_sample_duals(args, tol: float, report: Report) -> int:
+def _cmd_sample_duals(args, tol: float, report: Report, frame) -> int:
     if args.count < 0:
         raise FrameFormatError(f"--count must be >= 0, got {args.count}")
-    frame = fileio.load_frame(args.file)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     for i in range(args.count):
@@ -313,8 +262,7 @@ def _cmd_sample_duals(args, tol: float, report: Report) -> int:
     return EXIT_OK
 
 
-def _cmd_factorize(args, tol: float, report: Report) -> int:
-    frame = fileio.load_frame(args.file)
+def _cmd_factorize(args, tol: float, report: Report, frame) -> int:
     u, v = frames.factorize(frame, tol)
     report.verdict = "factorization computed"
     report.matrices["u"] = _matrix(u.entries)
@@ -333,16 +281,31 @@ def _cmd_factorize(args, tol: float, report: Report) -> int:
     return EXIT_OK
 
 
+#: name -> (handler, help, file arguments, own options as (flag, add_argument kwargs)),
+#: in the order ``pasf --help`` lists them; every subcommand takes
+#: ``_COMMON_OPTIONS`` after its own.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "canonical-dual": _cmd_canonical_dual,
-    "check-dual": _cmd_check_dual,
-    "check-orthogonal": _cmd_check_orthogonal,
-    "similarity": _cmd_similarity,
-    "interpolate": _cmd_interpolate,
-    "sample-duals": _cmd_sample_duals,
-    "factorize": _cmd_factorize,
+    "validate": (_cmd_validate, "decide the p-ASF property and report bounds", ["file"],
+                 [("--matrices", {"action": "store_true", "help": "include S and S^-1 in the report"})]),
+    "canonical-dual": (_cmd_canonical_dual, "compute the canonical dual", ["file"],
+                       [("--out", {"help": "write the dual as a frame file"})]),
+    "check-dual": (_cmd_check_dual, "test the dual criterion for two frames", ["file1", "file2"], []),
+    "check-orthogonal": (_cmd_check_orthogonal, "test orthogonality of two frames", ["file1", "file2"], []),
+    "similarity": (_cmd_similarity, "decide similarity and print the witnesses", ["file1", "file2"], []),
+    "interpolate": (_cmd_interpolate, "stitch two orthogonal Parseval frames", ["file1", "file2"],
+                    [("--scalars", {"required": True, "metavar": "a,b,c,d",
+                                    "help": "scalars with c*a + d*b = 1"}),
+                     ("--out", {"help": "write the stitched frame"})]),
+    "sample-duals": (_cmd_sample_duals, "sample the dual family of a frame", ["file"],
+                     [("--count", {"type": int, "default": 10}), ("--seed", {"type": int, "default": 0}),
+                      ("--out-dir", {"help": "write each sample as a frame file here"})]),
+    "factorize": (_cmd_factorize, "emit the analysis/synthesis factorization", ["file"],
+                  [("--out", {"help": "write both matrices as a JSON file"})]),
 }
+_COMMON_OPTIONS = [
+    ("--tol", {"type": float, "default": None, "help": "tolerance (default 1e-9 or $PASF_TOL)"}),
+    ("--json", {"action": "store_true", "help": "emit one JSON object"}),
+]
 
 
 def _error_exit(report: Report, exc: Exception, as_json: bool, code: int) -> int:
@@ -370,21 +333,23 @@ def main(argv=None) -> int:
             exc.parser.print_usage(sys.stderr)
             print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT) from None
-    as_json = getattr(args, "json", False)
-    inputs = [v for k, v in vars(args).items() if k in ("file", "file1", "file2") and v]
-    report = Report(command=args.command, inputs=inputs)
+    handler, _, files, _ = _COMMANDS[args.command]
+    paths = [getattr(args, name) for name in files]
+    report = Report(command=args.command, inputs=[path for path in paths if path])
     try:
         # every overflow ends as a false verdict, a typed error or
         # _require_finite, so numpy's warnings would only be noise
         with np.errstate(all="ignore"):
-            code = _COMMANDS[args.command](args, _resolve_tol(args), report)
+            tol = _resolve_tol(args)
+            loaded = [fileio.load_frame(path) for path in paths]
+            code = handler(args, tol, report, *loaded)
         numbers = [item["value"] for item in report.numbers if isinstance(item["value"], float)]
         _require_finite(numbers, *report.matrices.values())
     except _INPUT_ERRORS as exc:
-        return _error_exit(report, exc, as_json, EXIT_INPUT)
+        return _error_exit(report, exc, args.json, EXIT_INPUT)
     except PasfError as exc:
-        return _error_exit(report, exc, as_json, EXIT_FAIL)
-    _emit(report, as_json)
+        return _error_exit(report, exc, args.json, EXIT_FAIL)
+    _emit(report, args.json)
     return code
 
 

@@ -291,12 +291,12 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
         return _exact_bound(float(np.linalg.norm(a, 2)))
     e = math.frexp(top)[1]
     a = np.ldexp(a, -e)
+    if p == INF:
+        return _exact_bound(_ldexp(float(np.abs(a).sum(axis=1).max()), e))
     n1 = _ldexp(float(np.abs(a).sum(axis=0).max()), e)
-    ninf = _ldexp(float(np.abs(a).sum(axis=1).max()), e)
     if p == 1.0:
         return _exact_bound(n1)
-    if p == INF:
-        return _exact_bound(ninf)
+    ninf = _ldexp(float(np.abs(a).sum(axis=1).max()), e)
 
     if n1 == 0.0 or ninf == 0.0:
         return NormBound(lower=0.0, upper=0.0, exact=False)

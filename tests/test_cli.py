@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_factorize_writes_matrices(files, tmp_path, capsys):
     out_path = str(tmp_path / "fact.json")
     code, out, _ = run(capsys, "factorize", files["scaled"], "--out", out_path)
     assert code == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(pathlib.Path(out_path).read_text())
     assert doc["u"] == [[1.0, 0.0], [0.0, 1.0]]
     assert doc["v"] == [[2.0, 0.0], [0.0, 2.0]]
 
@@ -322,6 +323,77 @@ def test_usage_error_under_json_emits_one_error_object(capsys, argv):
     assert payload["command"] == argv[0] and payload["inputs"] == []
     assert payload["error"]["code"] == "UsageError"
     assert captured.err == ""
+
+
+# command -> (usage line of `pasf <command> --help` at 200 columns, frame names, extra arguments)
+SUBCOMMANDS = {
+    "validate": ("usage: pasf validate [-h] [--matrices] [--tol TOL] [--json] file",
+                 ["standard"], []),
+    "canonical-dual": ("usage: pasf canonical-dual [-h] [--out OUT] [--tol TOL] [--json] file",
+                       ["standard"], []),
+    "check-dual": ("usage: pasf check-dual [-h] [--tol TOL] [--json] file1 file2",
+                   ["standard", "scaled"], []),
+    "check-orthogonal": ("usage: pasf check-orthogonal [-h] [--tol TOL] [--json] file1 file2",
+                         ["block1", "block2"], []),
+    "similarity": ("usage: pasf similarity [-h] [--tol TOL] [--json] file1 file2",
+                   ["standard", "scaled"], []),
+    "interpolate": ("usage: pasf interpolate [-h] --scalars a,b,c,d [--out OUT] [--tol TOL] [--json] file1 file2",
+                    ["block1", "block2"], ["--scalars", "1,1,0.5,0.5"]),
+    "sample-duals": ("usage: pasf sample-duals [-h] [--count COUNT] [--seed SEED] [--out-dir OUT_DIR] "
+                     "[--tol TOL] [--json] file", ["standard"], ["--count", "2"]),
+    "factorize": ("usage: pasf factorize [-h] [--out OUT] [--tol TOL] [--json] file",
+                  ["standard"], []),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_usage_and_inputs(files, tmp_path, capsys, monkeypatch, command):
+    usage, names, extra = SUBCOMMANDS[command]
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == usage
+
+    paths = [files[name] for name in names]
+    code, out, _ = run(capsys, command, *paths, *extra, "--json")
+    doc = json.loads(out)
+    assert code in (0, 2) and "error" not in doc
+    assert doc["command"] == command and doc["inputs"] == paths
+
+    # every file is echoed, also those after the one that cannot be read
+    paths[0] = str(tmp_path / "missing.json")
+    code, out, _ = run(capsys, command, *paths, *extra, "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["error"]["code"] == "FileNotFoundError"
+    assert doc["inputs"] == paths
+
+
+@pytest.mark.parametrize("argv, code, names", [
+    # --tol before the files and before the subcommand's own options
+    (["validate", "missing.json", "--tol", "-1"], "FrameFormatError", "--tol"),
+    (["sample-duals", "{standard}", "--count", "-2", "--tol", "0"], "FrameFormatError", "--tol"),
+    # the files in order
+    (["check-dual", "missing.json", "other.json"], "FileNotFoundError", "missing.json"),
+    (["check-dual", "{standard}", "other.json"], "FileNotFoundError", "other.json"),
+    (["similarity", "{bad}", "missing.json"], "FrameFormatError", "invalid JSON"),
+    (["similarity", "missing.json", "{bad}"], "FileNotFoundError", "missing.json"),
+    # the files before the subcommand's own options
+    (["interpolate", "missing.json", "{block2}", "--scalars", "1,1"], "FileNotFoundError", "missing.json"),
+    (["sample-duals", "missing.json", "--count", "-2"], "FileNotFoundError", "missing.json"),
+    (["interpolate", "{block1}", "{block2}", "--scalars", "1,1"], "FrameFormatError", "--scalars"),
+    (["sample-duals", "{standard}", "--count", "-2"], "FrameFormatError", "--count"),
+])
+def test_errors_come_tol_then_files_then_options(files, tmp_path, capsys, monkeypatch, argv, code, names):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = [arg.format(**files, bad="bad.json") for arg in argv]
+    exit_code, out, _ = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert exit_code == 1 and doc["error"]["code"] == code
+    assert names in doc["error"]["message"]
+    assert doc["inputs"] == argv[1:1 + len(SUBCOMMANDS[argv[0]][1])]
+
 
 
 def test_cli_round_trip_bit_identical(files, tmp_path, capsys):
