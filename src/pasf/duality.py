@@ -29,7 +29,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import DEFAULT_TOL, LinearMap, NormBound, _absmax, _rank, _require_rank, _sealed, _within
+from .spaces import DEFAULT_TOL, LinearMap, NormBound, _absmax, _rank, _require_rank, _within
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -74,10 +74,11 @@ def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool
     """
     _require_same_spaces(frame, cand)
     eye = np.eye(frame.dim)
-    return (
-        _within(frame.vectors @ cand.functionals, eye, tol)
-        and _within(cand.vectors @ frame.functionals, eye, tol)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the double range fails
+        return (
+            _within(frame.vectors @ cand.functionals, eye, tol)
+            and _within(cand.vectors @ frame.functionals, eye, tol)
+        )
 
 
 def _require_shape(name: str, param: LinearMap, shape: tuple[int, int], role: str) -> None:
@@ -139,8 +140,7 @@ def dual_from_parameters(
     omega += c.dual_vectors
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
     _require_rank(gate, tol, GateSingular, "gate operator", c.s.entries)
-    candidate = DualCandidate(frame=replace(frame, functionals=_sealed(g), vectors=_sealed(omega)),
-                              u_param=u, v_param=v)
+    candidate = DualCandidate(frame=replace(frame, functionals=g, vectors=omega), u_param=u, v_param=v)
     g_max, omega_max = _absmax(g), _absmax(omega)
     if not (math.isfinite(g_max) and math.isfinite(omega_max)):
         return candidate

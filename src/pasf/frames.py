@@ -67,8 +67,8 @@ class FramePair:
 
     def __post_init__(self):
         d, n = self.x_space.dim, self.seq_space.dim
-        functionals = _freeze(np.atleast_2d(np.asarray(self.functionals, dtype=float)))
-        vectors = _freeze(np.atleast_2d(np.asarray(self.vectors, dtype=float)))
+        functionals = _freeze(self.functionals, 2)
+        vectors = _freeze(self.vectors, 2)
         if functionals.shape != (n, d):
             raise DimensionMismatch(
                 f"functionals must be {n} rows of length {d}, got shape {functionals.shape}"
@@ -136,7 +136,8 @@ def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap
         # a non-finite entry has rank 0; rejected before S = T F, whose inf - inf is NaN
         if not _finite(frame):
             raise Singular("frame has a non-finite entry", rank=0)
-        s = frame_operator(frame)
+        with np.errstate(over="ignore", invalid="ignore"):  # an S past the double range has rank 0
+            s = frame_operator(frame)
         s_inv, rcond = invert_with_rcond(s, tol)
     except Singular as exc:
         raise NotAFrame(
@@ -203,7 +204,7 @@ def _parseval(frame: FramePair, tol: float) -> bool:
     """
     eye = np.eye(frame.dim)
     if _held(frame, tol) is None and _finite(frame):
-        # an S past the double range fails here and warns where S^-1 forms it again
+        # an S past the double range fails here, and again where S^-1 forms it
         with np.errstate(over="ignore", invalid="ignore"):
             s = frame.vectors @ frame.functionals
         if _within(s, eye, tol) and _certified(s, tol, eye):

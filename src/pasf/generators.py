@@ -151,8 +151,8 @@ def random_frame(
         frame = FramePair(
             x_space=x_space,
             seq_space=seq_space,
-            functionals=_sealed(rng.matrix(n, d)),
-            vectors=_sealed(rng.matrix(d, n)),
+            functionals=rng.matrix(n, d),
+            vectors=rng.matrix(d, n),
         )
         try:
             rcond = _canonical(frame, DEFAULT_TOL).rcond
@@ -177,10 +177,8 @@ def random_dual(frame: FramePair, seed: Seed) -> DualCandidate:
     u_scale, v_scale = (math.ldexp(1.0 / (n * d), -max(math.frexp(_absmax(m))[1], -1000))
                         for m in (frame.vectors, frame.functionals))
     for _ in range(_MAX_REJECTS):
-        u = LinearMap(domain=frame.x_space, codomain=frame.seq_space,
-                      entries=_sealed(rng.matrix(n, d, u_scale)))
-        v = LinearMap(domain=frame.seq_space, codomain=frame.x_space,
-                      entries=_sealed(rng.matrix(d, n, v_scale)))
+        u = LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=rng.matrix(n, d, u_scale))
+        v = LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=rng.matrix(d, n, v_scale))
         try:
             return dual_from_parameters(frame, u, v)
         except GateSingular:

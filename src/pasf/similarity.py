@@ -60,13 +60,13 @@ def witness_from_frames(
     """
     _require_same_spaces(frame1, frame2)
     c1, c2 = _canonical(frame1, tol), _held(frame2, tol)
-    t_fg = c1.dual_vectors @ frame2.functionals
-    # f S^-1 first, so a witness near the top of the double range stays finite
-    t_tw = frame2.vectors @ c1.dual_functionals
     rev_fg = rev_tw = None
-    if c2 is not None:
-        # a reverse witness past the double range proves nothing; the SVD decides then
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a witness past the double range has rank 0, and a reverse one proves nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_fg = c1.dual_vectors @ frame2.functionals
+        # f S^-1 first, so a witness near the top of the double range stays finite
+        t_tw = frame2.vectors @ c1.dual_functionals
+        if c2 is not None:
             rev_fg = c2.dual_vectors @ frame1.functionals
             rev_tw = frame1.vectors @ c2.dual_functionals
     space, d = frame1.x_space, frame1.dim

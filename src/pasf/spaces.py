@@ -66,17 +66,13 @@ class PNormSpace:
         object.__setattr__(self, "p", float(self.p))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """A read-only float64 array of ``arr``'s values: ``arr`` itself when it
-    is already a read-only float64 array that owns its data, else a copy."""
-    if arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable:
-        return arr
-    return _sealed(np.array(arr, dtype=float, copy=True))
+def _freeze(arr, ndmin: int) -> np.ndarray:
+    """A read-only float64 copy of ``arr``, with at least ``ndmin`` dimensions."""
+    return _sealed(np.array(arr, dtype=float, ndmin=ndmin))
 
 
 def _sealed(arr: np.ndarray) -> np.ndarray:
-    """``arr``, which the library has just made, marked read-only, so that
-    :func:`_freeze` keeps it instead of copying it."""
+    """``arr``, marked read-only."""
     arr.setflags(write=False)
     return arr
 
@@ -96,7 +92,7 @@ class Vector:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = _freeze(np.atleast_1d(np.asarray(self.coords, dtype=float)))
+        coords = _freeze(self.coords, 1)
         if coords.ndim != 1 or coords.shape[0] != self.space.dim:
             raise DimensionMismatch(
                 f"coordinate array of shape {coords.shape} does not fit a space of dim {self.space.dim}"
@@ -117,7 +113,7 @@ class LinearMap:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _freeze(np.atleast_2d(np.asarray(self.entries, dtype=float)))
+        entries = _freeze(self.entries, 2)
         if entries.shape != (self.codomain.dim, self.domain.dim):
             raise DimensionMismatch(
                 f"matrix of shape {entries.shape} does not map dim {self.domain.dim} "
@@ -456,7 +452,7 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
     norm1 = float(np.abs(a).sum(axis=0).max())
     inorm1 = float(np.abs(inv).sum(axis=0).max())
     rcond = 1.0 / (norm1 * inorm1) if norm1 * inorm1 > 0 else 0.0
-    return LinearMap(domain=m.codomain, codomain=m.domain, entries=_sealed(inv)), rcond
+    return LinearMap(domain=m.codomain, codomain=m.domain, entries=inv), rcond
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +465,7 @@ def compose(a: LinearMap, b: LinearMap) -> LinearMap:
         raise DimensionMismatch(
             f"cannot compose: inner dims {a.domain.dim} and {b.codomain.dim} differ"
         )
-    return LinearMap(domain=b.domain, codomain=a.codomain, entries=_sealed(a.entries @ b.entries))
+    return LinearMap(domain=b.domain, codomain=a.codomain, entries=a.entries @ b.entries)
 
 
 def identity(space: PNormSpace) -> LinearMap:

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -8,6 +10,7 @@ from pasf import (
     DEFAULT_TOL,
     DimensionMismatch,
     FramePair,
+    InterpolationOperators,
     LinearMap,
     NotAFrame,
     NotInvertible,
@@ -18,12 +21,26 @@ from pasf import (
     Vector,
     analysis_operator,
     apply,
+    apply_similarity,
     are_similar,
     basis_factorization,
     canonical_dual,
+    compose,
+    dual_from_parameters,
+    dumps_frame,
     factorize,
+    frame_from_dict,
     frame_operator,
+    frame_to_dict,
     from_factorization,
+    identity,
+    interpolate,
+    invert,
+    invert_with_rcond,
+    left_inverse_from,
+    load_frame,
+    loads_frame,
+    parameters_from_dual,
     parseval_transfer_check,
     parsevalize,
     projection,
@@ -32,6 +49,8 @@ from pasf import (
     random_orthogonal_parseval_pair,
     rank,
     reconstruct,
+    right_inverse_from,
+    save_frame,
     scalar_interpolate,
     synthesis_operator,
     validate,
@@ -503,35 +522,116 @@ def read_only(a) -> np.ndarray:
     return a
 
 
-def test_a_read_only_owned_float_array_is_kept_not_copied():
-    f, t = read_only(PortableRng(5).matrix(3, 2)), read_only(PortableRng(6).matrix(2, 3))
-    frame = FramePair(PNormSpace(2), PNormSpace(3), f, t)
-    assert frame.functionals is f and frame.vectors is t
-    assert LinearMap(PNormSpace(2), PNormSpace(3), f).entries is f
-    assert not canonical_dual(frame).functionals.flags.writeable
-
-
-@pytest.mark.parametrize("kind", ["writable", "read-only view", "integer"])
+@pytest.mark.parametrize("kind", ["writable", "read-only view", "integer", "read-only owned"])
 def test_any_other_array_is_copied(kind):
     given = {
         "writable": PortableRng(5).matrix(3, 2),
         "read-only view": read_only(PortableRng(5).matrix(3, 4))[:, 1:3],
         "integer": np.array([[1, 2], [3, 4], [5, 6]]),
+        "read-only owned": read_only(PortableRng(5).matrix(3, 2)),
     }[kind]
     if kind == "integer":
         given.setflags(write=False)
+    original = given.copy()
     vectors = np.eye(2, 3)
     frame = FramePair(PNormSpace(2), PNormSpace(3), given, vectors)
     m = LinearMap(PNormSpace(2), PNormSpace(3), given)
+    validate(frame)  # S^-1 is memoised before the caller's arrays change
     for kept in (frame.functionals, frame.vectors, m.entries):
         assert kept.dtype == np.float64 and kept.flags.owndata and not kept.flags.writeable
     assert frame.functionals is not given and m.entries is not given and frame.vectors is not vectors
-    before = frame.functionals.copy()
+    assert not canonical_dual(frame).functionals.flags.writeable
     vectors[0, 0] = 7.0
-    if given.flags.writeable:
+    if given.flags.owndata:  # a caller may make its own array writable again
+        given.setflags(write=True)
         given[0, 0] = 7.0
-    assert frame.vectors[0, 0] == 1.0
-    assert np.array_equal(frame.functionals, before) and np.array_equal(m.entries, before)
+    fresh = FramePair(PNormSpace(2), PNormSpace(3), original, np.eye(2, 3))
+    assert np.array_equal(frame.functionals, fresh.functionals) and np.array_equal(m.entries, fresh.functionals)
+    assert np.array_equal(frame.vectors, fresh.vectors)
+    assert np.array_equal(validate(frame).frame_op_inv.entries, validate(fresh).frame_op_inv.entries)
+
+
+def held_arrays(result):
+    """Every array a public result holds: its own, its fields' and its items'."""
+    if isinstance(result, np.ndarray):
+        yield result
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from held_arrays(item)
+    elif dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            if not f.name.startswith("_"):  # a frame's private memo is not an output
+                yield from held_arrays(getattr(result, f.name))
+
+
+def test_every_output_array_is_read_only(tmp_path):
+    frame = random_frame(3, 5, p=3.0, seed=2)
+    square = random_frame(3, 3, seed=3)
+    one, two = random_orthogonal_parseval_pair(2, 4, seed=1)
+    x, y = frame.x_space, frame.seq_space
+    u, v = LinearMap(x, y, np.ones((5, 3)) / 64), LinearMap(y, x, np.ones((3, 5)) / 64)
+    basis = LinearMap(x, x, [[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
+    eye, zero = identity(one.x_space), LinearMap(one.x_space, one.x_space, np.zeros((2, 2)))
+    path = tmp_path / "frame.json"
+    save_frame(frame, path)
+    dual = canonical_dual(frame)
+    outputs = {
+        "validate": validate(frame),
+        "validate p=2": validate(square),
+        "canonical_dual": dual,
+        "parsevalize": parsevalize(frame),
+        "projection": projection(frame),
+        "random_frame": random_frame(2, 3, seed=4),
+        "random_dual": random_dual(frame, 0),
+        "dual_from_parameters": dual_from_parameters(frame, u, v),
+        "parameters_from_dual": parameters_from_dual(frame, dual),
+        "witness_from_frames": witness_from_frames(frame, parsevalize(frame)[0]),
+        "apply_similarity": apply_similarity(frame, witness_from_frames(frame, parsevalize(frame)[1])),
+        "right_inverse_from": right_inverse_from(frame, u),
+        "left_inverse_from": left_inverse_from(frame, v),
+        "factorize": factorize(frame),
+        "from_factorization": from_factorization(*factorize(frame)),
+        "basis_factorization": basis_factorization(square, basis),
+        "analysis_operator": analysis_operator(frame),
+        "synthesis_operator": synthesis_operator(frame),
+        "random_orthogonal_parseval_pair": (one, two),
+        "interpolate": interpolate(one, two, InterpolationOperators(eye, zero, eye, zero)),
+        "scalar_interpolate": scalar_interpolate(one, two, 1.0, 0.0, 1.0, 0.0),
+        "invert": invert(basis),
+        "invert_with_rcond": invert_with_rcond(basis),
+        "compose": compose(basis, basis),
+        "identity": identity(x),
+        "apply": apply(basis, Vector(x, [1.0, 2.0, 3.0])),
+        "frame_operator": frame_operator(frame),
+        "reconstruct": reconstruct(frame, Vector(x, [1.0, 2.0, 3.0])),
+        "load_frame": load_frame(path),
+        "loads_frame": loads_frame(dumps_frame(frame)),
+        "frame_from_dict": frame_from_dict(frame_to_dict(frame)),
+    }
+    for name, result in outputs.items():
+        arrays = list(held_arrays(result))
+        assert arrays, name
+        for a in arrays:
+            assert a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("call", [
+    validate,
+    canonical_dual,
+    projection,
+    parsevalize,
+    lambda frame: are_similar(frame, frame),
+    lambda frame: random_dual(frame, 0),
+], ids=["validate", "canonical_dual", "projection", "parsevalize", "are_similar", "random_dual"])
+def test_frame_whose_s_overflows_is_not_a_frame_and_does_not_warn(call, scale):
+    # S = T F is past the double range although every entry of f and tau is finite
+    drawn = random_frame(3, 4, 3.0, seed=1)
+    big = FramePair(drawn.x_space, drawn.seq_space, drawn.functionals * scale, drawn.vectors * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAFrame, match="rank 0 of 3"):
+            call(big)
 
 
 def test_only_validate_computes_norm_brackets(monkeypatch):

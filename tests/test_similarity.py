@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pasf import (
     ConsistencyError,
     LinearMap,
+    FramePair,
+    NotDual,
     NotInvertibleWitness,
     NotParseval,
     NotSimilar,
@@ -13,7 +17,9 @@ from pasf import (
     are_similar,
     canonical_dual,
     frame_operator,
+    is_dual,
     is_orthogonal,
+    parameters_from_dual,
     parseval_transfer_check,
     parsevalize,
     random_dual,
@@ -328,3 +334,28 @@ def test_witness_transport_drift_raises_consistency_error(monkeypatch):
     frame = random_frame(4, 6, p=3.0, seed=3)
     with pytest.raises(ConsistencyError, match="witness transport drifts"):
         are_similar(frame, parsevalize(frame)[0])
+
+
+def two_scaled(seed, kf, kt):
+    drawn = random_frame(3, 4, 2.0, seed=seed)
+    return FramePair(drawn.x_space, drawn.seq_space,
+                     np.ldexp(drawn.functionals, kf), np.ldexp(drawn.vectors, kt))
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_two_frame_criteria_whose_cross_products_overflow_do_not_warn(order):
+    # f 2^600 and tau 2^-600 against f 2^-600 and tau 2^600: each S is in
+    # range, but tau_1 f_2 and the witness tau_2 f_1 S_1^-1 are near 2^1200
+    a, b = two_scaled(14, 600, -600), two_scaled(15, -600, 600)
+    if order == "reverse":
+        a, b = b, a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_dual(a, b)
+        assert not is_orthogonal(a, b)
+        assert not are_similar(a, b)
+        with pytest.raises(NotDual):
+            parameters_from_dual(a, b)
+        # b's S^-1 is now held, so the reverse witnesses are formed too
+        assert isinstance(witness_from_frames(a, b), SimilarityWitness)
+
