@@ -337,12 +337,9 @@ def main(argv=None) -> int:
     paths = [getattr(args, name) for name in files]
     report = Report(command=args.command, inputs=[path for path in paths if path])
     try:
-        # every overflow ends as a false verdict, a typed error or
-        # _require_finite, so numpy's warnings would only be noise
-        with np.errstate(all="ignore"):
-            tol = _resolve_tol(args)
-            loaded = [fileio.load_frame(path) for path in paths]
-            code = handler(args, tol, report, *loaded)
+        tol = _resolve_tol(args)
+        loaded = [fileio.load_frame(path) for path in paths]
+        code = handler(args, tol, report, *loaded)
         numbers = [item["value"] for item in report.numbers if isinstance(item["value"], float)]
         _require_finite(numbers, *report.matrices.values())
     except _INPUT_ERRORS as exc:

@@ -29,7 +29,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import DEFAULT_TOL, LinearMap, NormBound, _absmax, _rank, _require_rank, _within
+from .spaces import DEFAULT_TOL, LinearMap, NormBound, _absmax, _rank, _require_rank, _residual
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -74,11 +74,10 @@ def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool
     """
     _require_same_spaces(frame, cand)
     eye = np.eye(frame.dim)
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the double range fails
-        return (
-            _within(frame.vectors @ cand.functionals, eye, tol)
-            and _within(cand.vectors @ frame.functionals, eye, tol)
-        )
+    return (
+        _residual(frame.vectors, cand.functionals, eye) <= tol
+        and _residual(cand.vectors, frame.functionals, eye) <= tol
+    )
 
 
 def _require_shape(name: str, param: LinearMap, shape: tuple[int, int], role: str) -> None:
@@ -132,21 +131,20 @@ def dual_from_parameters(
     _require_shape("V", v, (d, n), "seq_space into x_space")
     c = _canonical(frame, tol)
     si = c.s_inv.entries
-    g = c.complement @ u.entries
-    g += c.dual_functionals
-    omega = v.entries @ c.complement  # V (I - P) until the gate has read it, then L
-    gate = omega @ u.entries
-    gate += si
-    omega += c.dual_vectors
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range: singular gate or unchecked candidate
+        g = c.complement @ u.entries
+        g += c.dual_functionals
+        omega = v.entries @ c.complement  # V (I - P) until the gate has read it, then L
+        gate = omega @ u.entries
+        gate += si
+        omega += c.dual_vectors
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
     _require_rank(gate, tol, GateSingular, "gate operator", c.s.entries)
     candidate = DualCandidate(frame=replace(frame, functionals=g, vectors=omega), u_param=u, v_param=v)
     g_max, omega_max = _absmax(g), _absmax(omega)
     if not (math.isfinite(g_max) and math.isfinite(omega_max)):
         return candidate
-    off = omega @ g
-    off -= gate
-    drift = _absmax(off)
+    drift = _residual(omega, g, gate)
     # agreement is limited by what rounding can achieve on the largest
     # summands entering the cancellation, not only by the gate's own scale.
     # I - P rounds on the scale 1 + max|P|, so V (I - P) U carries error on
@@ -193,7 +191,7 @@ def has_unique_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> bool:
         return False
     if _rank(frame.vectors, tol) < d:
         return False
-    return _within(frame.functionals @ frame.vectors, np.eye(n), tol)
+    return _residual(frame.functionals, frame.vectors, np.eye(n)) <= tol
 
 
 def canonical_dual_bounds(report: FrameReport) -> tuple[NormBound, NormBound]:

@@ -254,16 +254,12 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
     if x.space.dim != frame.dim:
         raise DimensionMismatch(f"vector of dim {x.space.dim} does not live on a dim-{frame.dim} space")
     f, t, c = frame.functionals, frame.vectors, _canonical(frame, tol)
-    first = t @ (f @ (c.s_inv.entries @ x.coords))  # coefficients of the dual functionals, original vectors
-    second = c.dual_vectors @ (f @ x.coords)  # original coefficients, dual vectors
-    r1 = _lp(first - x.coords, frame.x_space.p)
-    r2 = _lp(second - x.coords, frame.x_space.p)
-    return (
-        Vector(space=frame.x_space, coords=first),
-        Vector(space=frame.x_space, coords=second),
-        r1,
-        r2,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range a residual is inf or NaN
+        first = t @ (f @ (c.s_inv.entries @ x.coords))  # coefficients of the dual functionals, original vectors
+        second = c.dual_vectors @ (f @ x.coords)  # original coefficients, dual vectors
+        r1 = _lp(first - x.coords, frame.x_space.p)
+        r2 = _lp(second - x.coords, frame.x_space.p)
+    return Vector(space=frame.x_space, coords=first), Vector(space=frame.x_space, coords=second), r1, r2
 
 
 def projection(frame: FramePair, tol: float = DEFAULT_TOL) -> LinearMap:

@@ -233,9 +233,10 @@ def reconstruction_oracle(frame: FramePair, cand: FramePair, tol: float = DEFAUL
         x[i] = 1.0
         through_cand = np.zeros(d)
         through_frame = np.zeros(d)
-        for k in range(n):
-            through_cand += float(np.dot(cand.functionals[k], x)) * frame.vectors[:, k]
-            through_frame += float(np.dot(frame.functionals[k], x)) * cand.vectors[:, k]
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum past the double range fails below
+            for k in range(n):
+                through_cand += float(np.dot(cand.functionals[k], x)) * frame.vectors[:, k]
+                through_frame += float(np.dot(frame.functionals[k], x)) * cand.vectors[:, k]
         # written so that NaN fails too
         if not float(np.abs(through_cand - x).max()) <= tol:
             return False

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _within, identity
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _residual, identity
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,10 @@ class InterpolationOperators:
 def is_orthogonal(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Operator criterion: theta_tau theta_g and theta_omega theta_f both vanish."""
     _require_same_spaces(frame1, frame2)
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the double range fails
-        return (
-            _within(frame1.vectors @ frame2.functionals, 0.0, tol)
-            and _within(frame2.vectors @ frame1.functionals, 0.0, tol)
-        )
+    return (
+        _residual(frame1.vectors, frame2.functionals, 0.0) <= tol
+        and _residual(frame2.vectors, frame1.functionals, 0.0) <= tol
+    )
 
 
 def interpolate(
@@ -82,17 +81,15 @@ def interpolate(
         raise NotOrthogonal("frames are not orthogonal")
     a, b = ops.a_op.entries, ops.b_op.entries
     c, dd = ops.c_op.entries, ops.d_op.entries
-    residual = _absmax(c @ a + dd @ b - np.eye(d))
-    if not residual <= tol:
-        raise ContractViolated(
-            f"C A + D B deviates from the identity by {residual:.3e}", residual=residual
-        )
-    return FramePair(
-        x_space=frame1.x_space,
-        seq_space=frame1.seq_space,
-        functionals=frame1.functionals @ a + frame2.functionals @ b,
-        vectors=c @ frame1.vectors + dd @ frame2.vectors,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range: a violation or not a frame
+        residual = _absmax(c @ a + dd @ b - np.eye(d))
+        if not residual <= tol:
+            raise ContractViolated(
+                f"C A + D B deviates from the identity by {residual:.3e}", residual=residual
+            )
+        functionals = frame1.functionals @ a + frame2.functionals @ b
+        vectors = c @ frame1.vectors + dd @ frame2.vectors
+    return FramePair(x_space=frame1.x_space, seq_space=frame1.seq_space, functionals=functionals, vectors=vectors)
 
 
 def scalar_interpolate(

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _held, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _rank, _within
+from .spaces import DEFAULT_TOL, LinearMap, _rank, _residual, _within
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,8 @@ def _similarity(
     if not witness.invertible:
         raise ConsistencyError("projections agree but a witness candidate is singular")
     slack = 10.0 * tol
-    g_off = frame1.functionals @ witness.t_fg.entries
-    g_off -= frame2.functionals
-    w_off = witness.t_tau_omega.entries @ frame1.vectors
-    w_off -= frame2.vectors
-    g_drift, w_drift = _absmax(g_off), _absmax(w_off)
+    g_drift = _residual(frame1.functionals, witness.t_fg.entries, frame2.functionals)
+    w_drift = _residual(witness.t_tau_omega.entries, frame1.vectors, frame2.vectors)
     if not (g_drift <= slack and w_drift <= slack):
         drift = max(g_drift, w_drift)
         raise ConsistencyError(f"projections agree but witness transport drifts by {drift:.3e}")
@@ -142,8 +139,8 @@ def parseval_transfer_check(
         raise NotSimilar("frames are not similar")
     a, b = witness.t_fg.entries, witness.t_tau_omega.entries
     eye = np.eye(frame_parseval.dim)
-    by_product = _within(b @ a, eye, tol)
-    by_reverse = _within(a @ b, eye, tol)
+    by_product = _residual(b, a, eye) <= tol
+    by_reverse = _residual(a, b, eye) <= tol
     direct = _parseval(frame2, tol)
     if by_product != direct or by_reverse != direct:
         raise ConsistencyError(

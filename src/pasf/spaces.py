@@ -398,9 +398,18 @@ def _require_rank(a: np.ndarray, tol: float, error: type[_RankError], what: str,
         raise error(f"{what} is singular at tol={tol:g}: rank {found} of {n}", rank=found)
 
 
-def _within(a: np.ndarray, b: np.ndarray | float, tol: float) -> bool:
-    """The absolute criterion test ``max|a - b| <= tol``, entrywise; NaN fails it."""
-    return _absmax(a - b) <= tol
+def _within(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """The absolute criterion test ``max|a - b| <= tol``, entrywise; NaN and overflow fail it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _absmax(a - b) <= tol
+
+
+def _residual(a: np.ndarray, b: np.ndarray, target: np.ndarray | float) -> float:
+    """max|a @ b - target|, formed silently: past the double range it is inf or NaN and fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ b
+        product -= target
+    return _absmax(product)
 
 
 def rank(m: LinearMap, tol: float = DEFAULT_TOL) -> int:
@@ -449,8 +458,9 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
         found = min(int(np.linalg.matrix_rank(a)), n - 1)
         raise Singular(f"matrix is singular in double precision: rank {found} of {n}", rank=found)
     _require_rank(a, tol, Singular, "matrix", inv)
-    norm1 = float(np.abs(a).sum(axis=0).max())
-    inorm1 = float(np.abs(inv).sum(axis=0).max())
+    with np.errstate(over="ignore"):  # a sum past the double range gives rcond 0
+        norm1 = float(np.abs(a).sum(axis=0).max())
+        inorm1 = float(np.abs(inv).sum(axis=0).max())
     rcond = 1.0 / (norm1 * inorm1) if norm1 * inorm1 > 0 else 0.0
     return LinearMap(domain=m.codomain, codomain=m.domain, entries=inv), rcond
 

@@ -93,8 +93,7 @@ def test_is_dual_fails_on_a_non_finite_last_entry(bad, side):
     dual = canonical_dual(frame)
     broken = getattr(dual, side).copy()
     broken[-1, -1] = bad
-    with np.errstate(invalid="ignore"):
-        assert not is_dual(frame, replace(dual, **{side: broken}))
+    assert not is_dual(frame, replace(dual, **{side: broken}))
 
 
 def test_is_dual_requires_same_spaces():
