@@ -29,7 +29,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import DEFAULT_TOL, LinearMap, NormBound, _absmax, _rank, _require_rank, _residual
+from .spaces import DEFAULT_TOL, _EPS, LinearMap, NormBound, _absmax, _rank, _require_rank, _residual
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -144,25 +144,31 @@ def dual_from_parameters(
     g_max, omega_max = _absmax(g), _absmax(omega)
     if not (math.isfinite(g_max) and math.isfinite(omega_max)):
         return candidate
-    drift = _residual(omega, g, gate)
-    # agreement is limited by what rounding can achieve on the largest
-    # summands entering the cancellation, not only by the gate's own scale.
     # I - P rounds on the scale 1 + max|P|, so V (I - P) U carries error on
-    # max|V| (1 + max|P|) max|U| even when it is far smaller itself; a
-    # wrong expansion misses by a full summand, far above this floor
+    # max|V| (1 + max|P|) max|U| even when it is far smaller itself
     u_max, v_max = _absmax(u.entries), _absmax(v.entries)
     summands = (
         _absmax(si)
         + v_max * (1.0 + _absmax(c.projection)) * u_max
         + omega_max * g_max
     )
-    threshold = _CROSS_CHECK_TOL * max(1.0, _absmax(gate))
-    threshold += 32.0 * n * n * np.finfo(float).eps * summands
-    if not drift <= threshold:
+    drift = _residual(omega, g, gate)
+    if not drift <= _drift_threshold(_CROSS_CHECK_TOL, _absmax(gate), summands, n):
         raise ConsistencyError(
             f"gate operator and candidate frame operator disagree by {drift:.3e}"
         )
     return candidate
+
+
+def _drift_threshold(agreement: float, scale: float, summands: float, n: int) -> float:
+    """How far two routes to one matrix, of entries up to ``scale``, may
+    disagree: ``agreement`` relative to max(1, scale), plus what rounding
+    can achieve on the largest ``summands`` entering the cancellation,
+    32 n^2 eps each. A wrong algebra misses by a full summand, far above
+    this floor. The one rule of every cross-check. A threshold past the
+    double range bounds nothing: it is NaN, and every drift fails it."""
+    threshold = agreement * max(1.0, scale) + 32.0 * n * n * _EPS * summands
+    return threshold if math.isfinite(threshold) else math.nan
 
 
 def parameters_from_dual(

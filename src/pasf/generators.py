@@ -30,7 +30,7 @@ import numpy as np
 from .errors import GateSingular, GenerationFailed, InsufficientCoordinates, NotAFrame
 from .duality import DualCandidate, dual_from_parameters
 from .frames import FramePair, _canonical
-from .spaces import DEFAULT_TOL, LinearMap, PNormSpace, _absmax, _sealed
+from .spaces import DEFAULT_TOL, LinearMap, PNormSpace, _exponent, _sealed
 
 #: Seeds are plain 64-bit unsigned integers (wider ints are masked).
 Seed = int
@@ -174,7 +174,7 @@ def random_dual(frame: FramePair, seed: Seed) -> DualCandidate:
     """
     d, n = frame.dim, frame.count
     rng = PortableRng(seed)
-    u_scale, v_scale = (math.ldexp(1.0 / (n * d), -max(math.frexp(_absmax(m))[1], -1000))
+    u_scale, v_scale = (math.ldexp(1.0 / (n * d), -max(_exponent(m), -1000))
                         for m in (frame.vectors, frame.functionals))
     for _ in range(_MAX_REJECTS):
         u = LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=rng.matrix(n, d, u_scale))

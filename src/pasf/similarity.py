@@ -17,6 +17,7 @@ two canonical Parseval frames: (f S^-1, tau) and (f, S^-1 tau).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,9 +28,9 @@ from .errors import (
     NotParseval,
     NotSimilar,
 )
-from .duality import _require_same_spaces
+from .duality import _drift_threshold, _require_same_spaces
 from .frames import FramePair, _canonical, _held, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _rank, _residual, _within
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _rank, _residual, _scaled, _within
 
 
 @dataclass(frozen=True)
@@ -56,25 +57,45 @@ def witness_from_frames(
     has rank below dim at ``tol``, which callers can use to inspect near
     misses. When frame2's S^-1 is already known at ``tol``, the reverse
     witnesses from frame2 to frame1 may certify full rank; the SVD
-    decides otherwise.
+    decides otherwise. Each witness is formed from frame1's balanced
+    canonical dual and frame2's balanced factors when its S^-1 is known
+    (see ``_product``), so it leaves the double range only where its true
+    value does, and then has rank 0.
     """
     _require_same_spaces(frame1, frame2)
     c1, c2 = _canonical(frame1, tol), _held(frame2, tol)
+    # (S1^-1 tau1) f2 and tau2 (f1 S1^-1) from balanced factors, frame2's own
+    # when its record is not held, so each product pairs factors of like scale
+    f2, t2, k2 = (frame2.functionals, frame2.vectors, 0) if c2 is None else (c2.functionals, c2.vectors, c2.k)
+    k = k2 - c1.k
+    t_fg = _product(c1.balanced_dual_vectors, f2, k)
+    t_tw = _product(t2, c1.balanced_dual_functionals, -k)
     rev_fg = rev_tw = None
-    # a witness past the double range has rank 0, and a reverse one proves nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_fg = c1.dual_vectors @ frame2.functionals
-        # f S^-1 first, so a witness near the top of the double range stays finite
-        t_tw = frame2.vectors @ c1.dual_functionals
-        if c2 is not None:
-            rev_fg = c2.dual_vectors @ frame1.functionals
-            rev_tw = frame1.vectors @ c2.dual_functionals
+    if c2 is not None:
+        rev_fg = _product(c2.balanced_dual_vectors, c1.functionals, -k)
+        rev_tw = _product(c1.vectors, c2.balanced_dual_functionals, k)
     space, d = frame1.x_space, frame1.dim
     return SimilarityWitness(
         t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),
         t_tau_omega=LinearMap(domain=space, codomain=space, entries=t_tw),
         invertible=_rank(t_fg, tol, rev_fg) == d and _rank(t_tw, tol, rev_tw) == d,
     )
+
+
+def _product(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
+    """(a @ b) 2^e. a @ b is formed directly, which the scaling back leaves
+    exact; only where it overflows from finite factors is it formed again
+    on a and b each scaled by its own power of two, where an entry more
+    than 2^1074 below its factor's largest counts as 0. A non-finite
+    factor gives inf or NaN, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ b
+        # a sum of finite entries is finite unless it overflows, where the scaled route is right too
+        finite = math.isfinite(product.sum())
+    if not finite and math.isfinite(_absmax(a)) and math.isfinite(_absmax(b)):
+        (a, ea), (b, eb) = _scaled(a), _scaled(b)
+        product, e = a @ b, e + ea + eb
+    return _scaled(product, -e)[0]
 
 
 def _similarity(
@@ -87,12 +108,21 @@ def _similarity(
     witness = witness_from_frames(frame1, frame2, tol)
     if not witness.invertible:
         raise ConsistencyError("projections agree but a witness candidate is singular")
-    slack = 10.0 * tol
-    g_drift = _residual(frame1.functionals, witness.t_fg.entries, frame2.functionals)
-    w_drift = _residual(witness.t_tau_omega.entries, frame1.vectors, frame2.vectors)
-    if not (g_drift <= slack and w_drift <= slack):
-        drift = max(g_drift, w_drift)
-        raise ConsistencyError(f"projections agree but witness transport drifts by {drift:.3e}")
+    # f1 T_fg against f2 and T_tw tau1 against tau2. P1 - P2, up to tol,
+    # carries into both, so each is held to 10 tol relative to the frame it
+    # should give, plus rounding on |a| |b|; the rule never allows less, so
+    # it is read only past 10 tol
+    agreement = 10.0 * tol
+    transports = [(frame1.functionals, witness.t_fg.entries, frame2.functionals),
+                  (witness.t_tau_omega.entries, frame1.vectors, frame2.vectors)]
+    drifts = [_residual(a, b, target) for a, b, target in transports]
+    for drift, (a, b, target) in zip(drifts, transports):
+        if drift <= agreement:
+            continue
+        with np.errstate(over="ignore"):
+            summands = _absmax(np.abs(a) @ np.abs(b))
+        if not drift <= _drift_threshold(agreement, _absmax(target), summands, frame1.count):
+            raise ConsistencyError(f"projections agree but witness transport drifts by {max(drifts):.3e}")
     return True, witness
 
 
@@ -100,8 +130,9 @@ def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) 
     """Decide similarity by projection equality: P_1 = P_2 entrywise.
 
     When the projections agree, the recovered witnesses are checked to
-    be invertible and to actually transport frame1 onto frame2 (within
-    10 * tol); a failure there means the equivalence broke numerically
+    be invertible and to actually transport frame1 onto frame2, within
+    10 * tol relative to max(1, max entry) of frame2's matrix, plus
+    rounding; a failure there means the equivalence broke numerically
     and raises :class:`ConsistencyError`.
     """
     return _similarity(frame1, frame2, tol)[0]

@@ -84,6 +84,27 @@ def _absmax(a: np.ndarray) -> float:
     return float(abs(max(a.max(), -a.min())))
 
 
+def _exponent(a: np.ndarray) -> int:
+    """The e with max|a| in [2^(e-1), 2^e), or 0 for an empty, zero or non-finite ``a``."""
+    return math.frexp(_absmax(a))[1] if a.size else 0
+
+
+def _scaled(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e), by default for e = ``_exponent(a)``, which brings max|a|
+    into [1/2, 1): the one owner of power-of-two scaling. Scaling is exact
+    unless it leaves the double range; past the top an entry is inf,
+    silently, so a value scaled back overflows only where the true value
+    does. At e = 0 it returns ``a`` itself."""
+    if e is None:
+        e = _exponent(a)
+    if e == 0:
+        return a, 0
+    if e > 0:  # scaling down, which cannot overflow
+        return np.ldexp(a, -e), e
+    with np.errstate(over="ignore"):
+        return np.ldexp(a, -e), e
+
+
 @dataclass(frozen=True, eq=False)
 class Vector:
     """An element of a :class:`PNormSpace`, stored as a dense coordinate array."""
@@ -270,7 +291,7 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     Any NaN or inf entry gives ``NormBound(nan, nan, exact=False)``.
 
     The sums and the search run on A scaled by the power of two 2^-e that
-    brings max|a_ij| into [1/2, 1), which is exact, so no step overflows;
+    brings max|a_ij| into [1/2, 1) (see ``_scaled``), so no step overflows;
     their results are scaled back by 2^e, a sum past the double range to
     inf and the search's lower bound to the largest double.
     """
@@ -285,8 +306,7 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
         return NormBound(lower=math.nan, upper=math.nan, exact=False)
     if p == 2.0:
         return _exact_bound(float(np.linalg.norm(a, 2)))
-    e = math.frexp(top)[1]
-    a = np.ldexp(a, -e)
+    a, e = _scaled(a, math.frexp(top)[1])
     if p == INF:
         return _exact_bound(_ldexp(float(np.abs(a).sum(axis=1).max()), e))
     n1 = _ldexp(float(np.abs(a).sum(axis=0).max()), e)
@@ -356,7 +376,8 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
     8.6), so the SVD could not have counted a value below the threshold.
     False means "not proved", never "singular": a missing, non-finite or
     poor ``inv`` gives False. R and all else are formed on a and inv scaled
-    by 2^-e and 2^e, which is exact and keeps every product finite.
+    by 2^-e and 2^e (see ``_scaled``), which is exact and keeps every
+    product finite.
     """
     if inv is None:
         return False
@@ -368,7 +389,7 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
     # ||a|| ||inv|| >= 2^(e + ex - 2), and past 2^50 no bound clears c n eps ||a||
     if e + math.frexp(xmax)[1] > 52:
         return False
-    a, inv = np.ldexp(a, -e), np.ldexp(inv, e)
+    a, inv = _scaled(a, e)[0], _scaled(inv, -e)[0]
     product = inv @ a if a.shape[0] > a.shape[1] else a @ inv
     # -R in place, whose norm is R's; the fresh product is contiguous, so ravel is a view
     product.ravel()[:: len(product) + 1] -= 1.0
@@ -458,10 +479,10 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
         found = min(int(np.linalg.matrix_rank(a)), n - 1)
         raise Singular(f"matrix is singular in double precision: rank {found} of {n}", rank=found)
     _require_rank(a, tol, Singular, "matrix", inv)
-    with np.errstate(over="ignore"):  # a sum past the double range gives rcond 0
-        norm1 = float(np.abs(a).sum(axis=0).max())
-        inorm1 = float(np.abs(inv).sum(axis=0).max())
-    rcond = 1.0 / (norm1 * inorm1) if norm1 * inorm1 > 0 else 0.0
+    # both column-sum norms on scaled copies, in [1/2, n], so no sum overflows
+    (sa, ea), (sinv, einv) = _scaled(a), _scaled(inv)
+    norms = float(np.abs(sa).sum(axis=0).max()) * float(np.abs(sinv).sum(axis=0).max())
+    rcond = _ldexp(1.0 / norms, -ea - einv)
     return LinearMap(domain=m.codomain, codomain=m.domain, entries=inv), rcond
 
 
