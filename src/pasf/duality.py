@@ -29,7 +29,8 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import DEFAULT_TOL, _EPS, LinearMap, NormBound, _absmax, _rank, _require_rank, _residual
+from .spaces import (DEFAULT_TOL, LinearMap, NormBound, _absmax, _agrees, _product_agrees, _rank,
+                     _require_rank, _residual)
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -69,14 +70,14 @@ def canonical_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> FramePair:
 def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """The operator criterion: theta_tau theta_g = theta_omega theta_f = I.
 
-    Both equalities are required, judged entrywise against ``tol``. The
-    criterion is symmetric in the two frames.
+    Both equalities are required, each scaled by its factors (see
+    ``_product_agrees``). The criterion is symmetric in the two frames.
     """
     _require_same_spaces(frame, cand)
     eye = np.eye(frame.dim)
     return (
-        _residual(frame.vectors, cand.functionals, eye) <= tol
-        and _residual(cand.vectors, frame.functionals, eye) <= tol
+        _product_agrees(frame.vectors, cand.functionals, eye, tol)
+        and _product_agrees(cand.vectors, frame.functionals, eye, tol)
     )
 
 
@@ -146,29 +147,12 @@ def dual_from_parameters(
         return candidate
     # I - P rounds on the scale 1 + max|P|, so V (I - P) U carries error on
     # max|V| (1 + max|P|) max|U| even when it is far smaller itself
-    u_max, v_max = _absmax(u.entries), _absmax(v.entries)
-    summands = (
-        _absmax(si)
-        + v_max * (1.0 + _absmax(c.projection)) * u_max
-        + omega_max * g_max
-    )
+    summands = (_absmax(si) + _absmax(v.entries) * (1.0 + _absmax(c.projection)) * _absmax(u.entries)
+                + omega_max * g_max)
     drift = _residual(omega, g, gate)
-    if not drift <= _drift_threshold(_CROSS_CHECK_TOL, _absmax(gate), summands, n):
-        raise ConsistencyError(
-            f"gate operator and candidate frame operator disagree by {drift:.3e}"
-        )
+    if not _agrees(drift, _CROSS_CHECK_TOL, _absmax(gate), summands, n):
+        raise ConsistencyError(f"gate operator and candidate frame operator disagree by {drift:.3e}")
     return candidate
-
-
-def _drift_threshold(agreement: float, scale: float, summands: float, n: int) -> float:
-    """How far two routes to one matrix, of entries up to ``scale``, may
-    disagree: ``agreement`` relative to max(1, scale), plus what rounding
-    can achieve on the largest ``summands`` entering the cancellation,
-    32 n^2 eps each. A wrong algebra misses by a full summand, far above
-    this floor. The one rule of every cross-check. A threshold past the
-    double range bounds nothing: it is NaN, and every drift fails it."""
-    threshold = agreement * max(1.0, scale) + 32.0 * n * n * _EPS * summands
-    return threshold if math.isfinite(threshold) else math.nan
 
 
 def parameters_from_dual(
@@ -189,15 +173,15 @@ def has_unique_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient uniqueness criterion: tau basis plus biorthogonality.
 
     True when the frame is square (count == dim), the vectors matrix is
-    invertible, and f_k(tau_j) = delta_kj entrywise within ``tol``. Such
-    a frame admits no dual other than its canonical one.
+    invertible, and theta_f theta_tau = I, scaled by its factors (see
+    ``_product_agrees``). Such a frame admits no dual other than its canonical one.
     """
     d, n = frame.dim, frame.count
     if n != d:
         return False
     if _rank(frame.vectors, tol) < d:
         return False
-    return _residual(frame.functionals, frame.vectors, np.eye(n)) <= tol
+    return _product_agrees(frame.functionals, frame.vectors, np.eye(n), tol)
 
 
 def canonical_dual_bounds(report: FrameReport) -> tuple[NormBound, NormBound]:

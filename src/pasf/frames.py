@@ -29,6 +29,8 @@ from .spaces import (
     NormBound,
     PNormSpace,
     Vector,
+    _absmax,
+    _agrees,
     _certified,
     _exact_bound,
     _exponent,
@@ -38,7 +40,6 @@ from .spaces import (
     _require_rank,
     _scaled,
     _sealed,
-    _within,
     compose,
     invert_with_rcond,
     operator_norm,
@@ -100,7 +101,7 @@ class FrameReport:
 
     ``lower_bound`` brackets a = ||S^-1||^-1 and ``upper_bound`` brackets
     b = ||S||, both in the operator norm of x_space. ``parseval`` means
-    S equals the identity entrywise within the validation tolerance.
+    max|S - I| <= tol max(1, max|S|), the criterion rule scaled by S.
     ``rcond`` is the reciprocal condition estimate of S.
     """
 
@@ -219,21 +220,24 @@ def _held(frame: FramePair, tol: float) -> _Canonical | None:
 
 
 def _parseval(frame: FramePair, tol: float) -> bool:
-    """``validate(frame, tol).parseval`` without the norm brackets.
-
-    A finite frame whose S = T F is within ``tol`` of I, and whose full
-    rank the identity certifies as its approximate inverse, is Parseval
-    with no inversion. Otherwise S^-1 decides: a singular S raises
+    """``validate(frame, tol).parseval`` without the norm brackets: S = I,
+    scaled by S (see ``_agrees``). A finite frame whose S = T F passes, and
+    whose full rank the identity certifies as its approximate inverse, is
+    Parseval with no inversion. Otherwise S^-1 decides: a singular S raises
     :class:`NotAFrame` with its rank, as in :func:`validate`.
     """
     eye = np.eye(frame.dim)
+
+    def is_identity(s: np.ndarray) -> bool:
+        return _agrees(_absmax(s - eye), tol, _absmax(s))
+
     if _held(frame, tol) is None and _finite(frame):
         # an S past the double range fails here, and again where S^-1 forms it
         with np.errstate(over="ignore", invalid="ignore"):
             s = frame.vectors @ frame.functionals
-        if _within(s, eye, tol) and _certified(s, tol, eye):
+        if is_identity(s) and _certified(s, tol, eye):
             return True
-    return _within(_canonical(frame, tol).s.entries, eye, tol)
+    return is_identity(_canonical(frame, tol).s.entries)
 
 
 def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:

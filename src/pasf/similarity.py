@@ -28,9 +28,9 @@ from .errors import (
     NotParseval,
     NotSimilar,
 )
-from .duality import _drift_threshold, _require_same_spaces
+from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _held, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _rank, _residual, _scaled, _within
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees, _rank, _residual, _scaled
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,13 @@ def witness_from_frames(
 
 def _product(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
     """(a @ b) 2^e. a @ b is formed directly, which the scaling back leaves
-    exact; only where it overflows from finite factors is it formed again
-    on a and b each scaled by its own power of two, where an entry more
-    than 2^1074 below its factor's largest counts as 0. A non-finite
-    factor gives inf or NaN, silently."""
+    exact; only where it overflows, or all of it falls below 2^-1022, from
+    finite nonzero factors is it formed again on a and b each scaled by its
+    own power of two, where an entry more than 2^1074 below its factor's
+    largest counts as 0. A non-finite factor gives inf or NaN, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = a @ b
-        # a sum of finite entries is finite unless it overflows, where the scaled route is right too
-        finite = math.isfinite(product.sum())
-    if not finite and math.isfinite(_absmax(a)) and math.isfinite(_absmax(b)):
+    if not 2.0**-1022 <= _absmax(product) < math.inf and all(0.0 < _absmax(m) < math.inf for m in (a, b)):
         (a, ea), (b, eb) = _scaled(a), _scaled(b)
         product, e = a @ b, e + ea + eb
     return _scaled(product, -e)[0]
@@ -103,37 +101,33 @@ def _similarity(
 ) -> tuple[bool, SimilarityWitness | None]:
     """are_similar's verdict and the witness it checked, None when none was formed."""
     _require_same_spaces(frame1, frame2)
-    if not _within(_canonical(frame1, tol).projection, _canonical(frame2, tol).projection, tol):
+    p1, p2 = _canonical(frame1, tol).projection, _canonical(frame2, tol).projection
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff, scale = _absmax(p1 - p2), max(_absmax(p1), _absmax(p2))
+    if not _agrees(diff, tol, scale):
         return False, None
     witness = witness_from_frames(frame1, frame2, tol)
     if not witness.invertible:
         raise ConsistencyError("projections agree but a witness candidate is singular")
-    # f1 T_fg against f2 and T_tw tau1 against tau2. P1 - P2, up to tol,
-    # carries into both, so each is held to 10 tol relative to the frame it
-    # should give, plus rounding on |a| |b|; the rule never allows less, so
-    # it is read only past 10 tol
-    agreement = 10.0 * tol
-    transports = [(frame1.functionals, witness.t_fg.entries, frame2.functionals),
-                  (witness.t_tau_omega.entries, frame1.vectors, frame2.vectors)]
-    drifts = [_residual(a, b, target) for a, b, target in transports]
-    for drift, (a, b, target) in zip(drifts, transports):
-        if drift <= agreement:
-            continue
-        with np.errstate(over="ignore"):
-            summands = _absmax(np.abs(a) @ np.abs(b))
-        if not drift <= _drift_threshold(agreement, _absmax(target), summands, frame1.count):
-            raise ConsistencyError(f"projections agree but witness transport drifts by {max(drifts):.3e}")
+    # f1 T_fg = P1 f2 against f2 = P2 f2, and T_tw tau1 = tau2 P1 against tau2 = tau2 P2:
+    # P1 - P2, up to its limit tol max(1, scale), carries into both through n coefficients
+    agreement = frame1.count * tol * max(1.0, scale)
+    for a, b, target in [(frame1.functionals, witness.t_fg.entries, frame2.functionals),
+                         (witness.t_tau_omega.entries, frame1.vectors, frame2.vectors)]:
+        if not _product_agrees(a, b, target, agreement):
+            drift = _residual(a, b, target)
+            raise ConsistencyError(f"projections agree but witness transport drifts by {drift:.3e}")
     return True, witness
 
 
 def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
-    """Decide similarity by projection equality: P_1 = P_2 entrywise.
+    """Decide similarity by projection equality: P_1 = P_2, scaled by max|P|.
 
     When the projections agree, the recovered witnesses are checked to
-    be invertible and to actually transport frame1 onto frame2, within
-    10 * tol relative to max(1, max entry) of frame2's matrix, plus
-    rounding; a failure there means the equivalence broke numerically
-    and raises :class:`ConsistencyError`.
+    be invertible and to actually transport frame1 onto frame2, each a
+    product criterion held to n times the projections' limit; a failure
+    there means the equivalence broke numerically and raises
+    :class:`ConsistencyError`.
     """
     return _similarity(frame1, frame2, tol)[0]
 
@@ -160,8 +154,8 @@ def parseval_transfer_check(
     """Whether a frame similar to a Parseval frame is itself Parseval.
 
     Equivalent to the witnesses composing to the identity, in either
-    order; both routes are evaluated and must agree with the direct
-    Parseval test of frame2.
+    order; both routes are evaluated, each a product criterion scaled by
+    its factors, and must agree with the direct Parseval test of frame2.
     """
     if not _parseval(frame_parseval, tol):
         raise NotParseval("first frame is not Parseval")
@@ -170,8 +164,8 @@ def parseval_transfer_check(
         raise NotSimilar("frames are not similar")
     a, b = witness.t_fg.entries, witness.t_tau_omega.entries
     eye = np.eye(frame_parseval.dim)
-    by_product = _residual(b, a, eye) <= tol
-    by_reverse = _residual(a, b, eye) <= tol
+    by_product = _product_agrees(b, a, eye, tol)
+    by_reverse = _product_agrees(a, b, eye, tol)
     direct = _parseval(frame2, tol)
     if by_product != direct or by_reverse != direct:
         raise ConsistencyError(

@@ -9,8 +9,12 @@ it is asked for, as numpy does.
 
 Exchanging powers of two between a frame's functionals and vectors, f
 2^j with tau 2^-j, leaves S, P and every dual unchanged, so it must leave
-every verdict unchanged too; the tests at the end pin that, and check P
-against exact rational arithmetic at extreme scales.
+every verdict unchanged too; the tests after that pin it, and check P
+against exact rational arithmetic at extreme scales. Then frames whose
+every entry carries its own power of two fuzz the same contracts, a NaN
+entry never yields True, the memo answers as a fresh frame does, and the
+one criterion rule scales with what it compares: no verdict changes under
+(c f, tau / c) for any c.
 """
 
 import json
@@ -45,16 +49,37 @@ from pasf import (
     witness_from_frames,
 )
 from pasf.cli import main
-from pasf.duality import _drift_threshold
 from pasf.generators import reconstruction_oracle
+from pasf.spaces import _agrees
 
 import exact
+
+EPS = float(np.finfo(float).eps)
 
 
 def scaled(frame, kf, kt):
     """``frame`` with f times 2^kf and tau times 2^kt."""
     return FramePair(frame.x_space, frame.seq_space,
                      np.ldexp(frame.functionals, kf), np.ldexp(frame.vectors, kt))
+
+
+def entry_scaled(frame, ef, et):
+    """``frame`` with f_ij times 2^ef_ij and tau_ij times 2^et_ij."""
+    return FramePair(frame.x_space, frame.seq_space,
+                     np.ldexp(frame.functionals, np.asarray(ef)), np.ldexp(frame.vectors, np.asarray(et)))
+
+
+def item9_frame(d, n, p, seed, ef, et):
+    """A frame whose entries carry independent powers of two, and whose
+    similarity one exchange for the whole frame cannot decide: its P
+    leaves the double range, or is formed far from its exact value. One
+    exchange per coefficient, ROADMAP item 9, would decide it."""
+    return entry_scaled(random_frame(d, n, p, seed=seed), ef, et)
+
+
+#: whose P leaves the double range (seed 1400), or is formed far from the exact I of a square frame (seed 547)
+ITEM9 = [(2, 2, math.inf, 547, [[156, 253], [696, 468]], [[-33, 116], [542, -400]]),
+         (1, 2, 1.0, 1400, [[697], [-553]], [[-691, 394]])]
 
 
 @st.composite
@@ -191,6 +216,8 @@ def test_stitching_past_the_double_range_does_not_warn(tmp_path, capsys):
     # largest entry flushes its other coordinate to 0
     pytest.param(diagonal_frame(600), id="f-diag(2^-600,2^600)-tau-diag(2^600,2^-600)"),
     pytest.param(diagonal_frame(700), id="f-diag(2^-700,2^700)-tau-diag(2^700,2^-700)"),
+    pytest.param(item9_frame(*ITEM9[1]), id="d1n2p1-seed1400-P-overflows",
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 9: one exchange per coefficient")),
 ])
 def test_a_frame_of_extreme_scale_is_similar_to_itself(frame):
     assert are_similar(frame, frame) is True
@@ -207,9 +234,18 @@ def test_a_frame_is_similar_to_its_parseval_frame_of_another_scale():
 
 
 def test_a_cross_check_threshold_past_the_double_range_bounds_nothing():
-    assert math.isnan(_drift_threshold(1e-10, 1.0, math.inf, 4))
-    assert not 0.0 <= _drift_threshold(1e-10, 1e300, 1e300 * 1e10, 64)
-    assert _drift_threshold(1e-10, 4.0, 1.0, 2) == 4e-10 + 128 * np.finfo(float).eps
+    # past tol, a limit past the double range lets no difference through
+    assert not _agrees(1.0, 1e-10, 1.0, math.inf, 4)
+    assert not _agrees(1.0, 1e-10, 1e300, 1e300 * 1e10, 64)
+    # the limit is never below tol, so a difference within it passes at any scale
+    assert _agrees(1e-10, 1e-10, 1.0, math.inf, 4)
+    # the limit 1e-10 max(1, 4) + 32 n^2 eps, one summand of 1 over n = 2 terms
+    limit = 4e-10 + 128 * np.finfo(float).eps
+    assert _agrees(limit * (1 - 1e-9), 1e-10, 4.0, 1.0, 2)
+    assert not _agrees(limit * (1 + 1e-9), 1e-10, 4.0, 1.0, 2)
+    # the limit 1e10 max(1, 1e300) lies past the double range, but is never formed
+    assert _agrees(1e300, 1e10, 1e300) and not _agrees(1e300, 1e-9, 1e300)
+    assert not _agrees(math.nan, 1e-10, 4.0, 1.0, 2)
 
 
 def test_random_dual_samples_a_frame_whose_projection_overflows():
@@ -269,3 +305,217 @@ def test_exact_referee_inverts_and_multiplies_exactly():
     assert exact.product(a, exact.inverse(a)) == exact.exact(np.eye(2))
     with pytest.raises(ZeroDivisionError):
         exact.inverse(exact.exact(np.ones((2, 2))))
+
+
+# ---------------------------------------------------------------------------
+# entry by entry: an independent power of two on every entry of f and tau
+
+
+@st.composite
+def entry_scaled_frames(draw, like=None):
+    """A random frame, of ``like``'s spaces when given, else with d <= 4 and
+    n <= d + 2, whose every entry carries its own power of two 2^e,
+    |e| <= 700: mixed scales inside one matrix, where balancing by one
+    exchange for the whole frame falls short."""
+    if like is None:
+        d = draw(st.integers(1, 4))
+        n, p = d + draw(st.integers(0, 2)), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    else:
+        d, n, p = like.dim, like.count, like.x_space.p
+    frame = random_frame(d, n, p, seed=draw(st.integers(0, 2**32 - 1)))
+    exponents = st.integers(-700, 700)
+    ef = draw(st.lists(st.lists(exponents, min_size=d, max_size=d), min_size=n, max_size=n))
+    et = draw(st.lists(st.lists(exponents, min_size=n, max_size=n), min_size=d, max_size=d))
+    return entry_scaled(frame, ef, et)
+
+
+def is_frame(frame):
+    try:
+        validate(frame)
+    except PasfError:
+        return False
+    return True
+
+
+def item8_frame():
+    """A frame whose record balances by 2^-180 while its Parseval frame's
+    exchange would round an entry, so that frame keeps its own arrays."""
+    x, s = PNormSpace(1, math.inf), PNormSpace(3, math.inf)
+    return FramePair(x, s, np.ldexp(1.0, np.array([[-247], [-517], [270]])),
+                     np.ldexp(1.0, np.array([[-177, -655, 630]])))
+
+
+def test_a_frame_is_similar_to_its_parseval_frame_whose_exchange_is_held_back():
+    # the witness pairs the frame's S^-1 tau 2^-180, near 2^-450, with the
+    # Parseval frame's own g, near 2^-630: the product, 2^-1080, underflows
+    # to 0 unless it is formed again on scaled factors
+    frame = item8_frame()
+    parseval = parsevalize(frame)[0]
+    assert are_similar(frame, parseval) is True
+    assert are_similar(parseval, frame) is True
+    # T_fg = S^-1 tau g, exactly: one positive sum of three terms, no cancellation
+    witness = witness_from_frames(frame, parseval)
+    s = exact.product(exact.exact(frame.vectors), exact.exact(frame.functionals))
+    t_fg = exact.product(exact.product(exact.inverse(s), exact.exact(frame.vectors)),
+                         exact.exact(parseval.functionals))
+    assert witness.invertible
+    assert exact.max_error(witness.t_fg.entries, t_fg) <= 4 * (frame.count + 2) * EPS * float(t_fg[0][0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), seed=st.integers(0, 9))
+def test_entry_points_on_frames_of_mixed_entry_scales_raise_only_pasf_errors_and_never_warn(data, seed):
+    a = data.draw(entry_scaled_frames())
+    b = data.draw(entry_scaled_frames(like=a))
+    run_silently(one_frame_calls(a, seed) + two_frame_calls(a, b) + two_frame_calls(b, a))
+
+
+@settings(deadline=None, max_examples=150)
+@given(frame=entry_scaled_frames())
+def test_a_valid_frame_of_mixed_entry_scales_meets_its_parseval_frame_without_raising(frame):
+    assume(is_frame(frame))
+    for parseval in parsevalize(frame):
+        assert isinstance(are_similar(frame, parseval), bool)
+        assert isinstance(are_similar(parseval, frame), bool)
+
+
+@settings(deadline=None, max_examples=100)
+@given(frame=entry_scaled_frames(), j=st.integers(-1000, 1000))
+def test_exchanging_powers_of_two_changes_no_verdict_on_frames_of_mixed_entry_scales(frame, j):
+    assume(is_frame(frame))
+    with np.errstate(over="ignore"):  # an exchange past the double range is not exact, and is skipped
+        moved = scaled(frame, j, -j)
+        back = scaled(moved, -j, j)
+    # the exchange is exact, and the moved canonical dual, (f S^-1 2^j, S^-1 tau 2^-j), is in range
+    assume(np.array_equal(back.functionals, frame.functionals) and np.array_equal(back.vectors, frame.vectors))
+    dual = canonical_dual(moved)
+    assume(np.isfinite(dual.functionals).all() and np.isfinite(dual.vectors).all())
+    assert verdicts(moved) == verdicts(frame)
+
+
+def outcome(call):
+    """What ``call`` returns, or the name of the PasfError it raises."""
+    try:
+        return call()
+    except PasfError as exc:
+        return type(exc).__name__
+
+
+def verdicts(a):
+    """Every verdict on ``a`` and on its canonical dual and Parseval frames."""
+    r = validate(a)
+    first, second = parsevalize(a)
+    return (r.parseval, r.analysis_injective, r.synthesis_surjective,
+            outcome(lambda: are_similar(a, a)), outcome(lambda: are_similar(a, first)),
+            outcome(lambda: are_similar(second, a)), outcome(lambda: parseval_transfer_check(first, second)),
+            is_dual(a, canonical_dual(a)), is_orthogonal(a, canonical_dual(a)), has_unique_dual(a))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: one exchange per coefficient")
+@pytest.mark.parametrize("spec", ITEM9, ids=["d2n2pinf-seed547", "d1n2p1-seed1400"])
+def test_an_item9_frame_is_similar_to_its_parseval_frame(spec):
+    frame = item9_frame(*spec)
+    assert are_similar(frame, parsevalize(frame)[0]) is True
+
+
+# ---------------------------------------------------------------------------
+# NaN never yields True; the memo answers as a fresh frame does
+
+
+def poisoned(frame, which, index):
+    """``frame`` with entry ``index`` (mod its size) of its ``which`` matrix set to NaN."""
+    m = np.array(getattr(frame, which))
+    m.flat[index % m.size] = math.nan
+    return FramePair(frame.x_space, frame.seq_space, **{"functionals": frame.functionals,
+                                                        "vectors": frame.vectors, which: m})
+
+
+@settings(deadline=None, max_examples=100)
+@given(d=st.integers(1, 4), extra=st.integers(0, 2), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+       seed=st.integers(0, 2**32 - 1), which=st.sampled_from(["functionals", "vectors"]),
+       index=st.integers(0, 63))
+def test_a_nan_entry_never_yields_true(d, extra, p, seed, which, index):
+    frame = random_frame(d, d + extra, p, seed=seed)
+    dual, (first, second) = canonical_dual(frame), parsevalize(frame)
+    g, h = random_orthogonal_parseval_pair(d, 2 * d, p, seed=seed)
+    bad = lambda f: poisoned(f, which, index)  # noqa: E731
+    calls = [
+        lambda: is_dual(bad(frame), dual), lambda: is_dual(frame, bad(dual)),
+        lambda: is_orthogonal(bad(g), h), lambda: is_orthogonal(g, bad(h)),
+        lambda: are_similar(bad(frame), first), lambda: are_similar(first, bad(frame)),
+        lambda: are_similar(bad(frame), bad(frame)), lambda: has_unique_dual(bad(frame)),
+        lambda: parseval_transfer_check(bad(first), second), lambda: parseval_transfer_check(first, bad(second)),
+        lambda: validate(bad(first)).parseval, lambda: witness_from_frames(first, bad(frame)).invertible,
+        lambda: reconstruction_oracle(bad(frame), dual), lambda: reconstruction_oracle(frame, bad(dual)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            assert outcome(call) is not True
+        # a stitched frame is interpolate's True
+        with pytest.raises(PasfError):
+            scalar_interpolate(bad(g), h, 0.6, 0.8, 0.6, 0.8)
+
+
+def results(frame, tol):
+    """Every answer at ``tol`` that reads ``frame``'s memo, as comparable values."""
+    report = outcome(lambda: validate(frame, tol))
+    if isinstance(report, str):
+        return report
+    first, second = parsevalize(frame, tol)
+    dual = canonical_dual(frame, tol)
+    witness = witness_from_frames(frame, first, tol)
+    found = (report.frame_op.entries, report.frame_op_inv.entries, projection(frame, tol).entries,
+             dual.functionals, dual.vectors, first.functionals, second.vectors, witness.t_fg.entries)
+    return repr(([a.tobytes() for a in found], report.rcond, report.lower_bound, report.upper_bound,
+                 report.parseval, witness.invertible, outcome(lambda: are_similar(frame, first, tol)),
+                 outcome(lambda: random_dual(frame, 7).frame.functionals.tobytes()),
+                 is_dual(frame, dual, tol), has_unique_dual(frame, tol),
+                 reconstruct(frame, Vector(frame.x_space, np.ones(frame.dim)), tol)[2]))
+
+
+@settings(deadline=None, max_examples=50)
+@given(d=st.integers(1, 4), extra=st.integers(0, 2), p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+       seed=st.integers(0, 2**32 - 1), kf=st.integers(-600, 600),
+       tols=st.permutations([1e-12, 1e-9, 1e-6, 1e-3]))
+def test_answers_after_calls_at_several_tols_equal_those_of_a_fresh_frame(d, extra, p, seed, kf, tols):
+    frame = scaled(random_frame(d, d + extra, p, seed=seed), kf, -kf // 2)
+    shared = [results(frame, tol) for tol in tols + tols[::-1]]
+    fresh = [results(FramePair(frame.x_space, frame.seq_space, frame.functionals, frame.vectors), tol)
+             for tol in tols + tols[::-1]]
+    assert shared == fresh
+
+
+# ---------------------------------------------------------------------------
+# the criterion rule scales with the matrices it compares
+
+
+@pytest.mark.parametrize("seed, gap", [(1149, 8.034e-9), (1268, 9.193e-9)])
+def test_a_frame_whose_projection_is_large_is_similar_to_its_parseval_frame(seed, gap):
+    # the stored frames' exact projections differ by ~8e-9 on max|P| near 1e4: an
+    # absolute tol 1e-9 called them not similar, though they agree to 1e-12 relative
+    frame = random_frame(8, 16, 2.0, seed=seed)
+    parseval = parsevalize(frame)[0]
+    p1 = exact.projection(frame.functionals, frame.vectors)
+    p2 = exact.projection(parseval.functionals, parseval.vectors)
+    assert math.isclose(float(max(abs(x - y) for r1, r2 in zip(p1, p2) for x, y in zip(r1, r2))), gap, rel_tol=1e-3)
+    assert float(max(abs(x) for row in p1 for x in row)) > 8e3
+    assert are_similar(frame, parseval) is True
+    assert are_similar(parseval, frame) is True
+
+
+@settings(deadline=None, max_examples=100)
+@given(d=st.integers(1, 4), extra=st.integers(0, 2), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+       seed=st.integers(0, 2**32 - 1), c=st.floats(1e-6, 1e6))
+def test_scaling_f_by_c_and_tau_by_one_over_c_changes_no_verdict(d, extra, p, seed, c):
+    frame = random_frame(d, d + extra, p, seed=seed)
+    moved = FramePair(frame.x_space, frame.seq_space, frame.functionals * c, frame.vectors / c)
+    assert verdicts(moved) == verdicts(frame)
+
+
+def test_scaling_f_and_tau_both_by_c_moves_s_by_c_squared_and_the_parseval_verdict():
+    parseval = parsevalize(random_frame(3, 5, 2.0, seed=1))[0]
+    assert validate(parseval).parseval is True
+    for c in (1.0 + 1e-9, 0.5, 3.0):
+        both = FramePair(parseval.x_space, parseval.seq_space, parseval.functionals * c, parseval.vectors * c)
+        assert validate(both).parseval is False
