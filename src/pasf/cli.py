@@ -217,7 +217,7 @@ def _cmd_check_orthogonal(args, tol: float, report: Report, frame1, frame2) -> i
 
 
 def _cmd_similarity(args, tol: float, report: Report, frame1, frame2) -> int:
-    holds, witness = similarity._similarity(frame1, frame2, tol)
+    holds, witness, _ = similarity._similarity(frame1, frame2, tol)
     witness = witness or similarity.witness_from_frames(frame1, frame2, tol)
     report.verdict = "similar" if holds else "not similar"
     report.add("projection criterion", holds, tol)

@@ -70,8 +70,8 @@ def canonical_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> FramePair:
 def is_dual(frame: FramePair, cand: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """The operator criterion: theta_tau theta_g = theta_omega theta_f = I.
 
-    Both equalities are required, each scaled by its factors (see
-    ``_product_agrees``). The criterion is symmetric in the two frames.
+    Both equalities are required, each with the rounding on its factors
+    (see ``_product_agrees``). The criterion is symmetric in the two frames.
     """
     _require_same_spaces(frame, cand)
     eye = np.eye(frame.dim)
@@ -173,8 +173,8 @@ def has_unique_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient uniqueness criterion: tau basis plus biorthogonality.
 
     True when the frame is square (count == dim), the vectors matrix is
-    invertible, and theta_f theta_tau = I, scaled by its factors (see
-    ``_product_agrees``). Such a frame admits no dual other than its canonical one.
+    invertible, and theta_f theta_tau = I, with the rounding on its factors
+    (see ``_product_agrees``). Such a frame admits no dual other than its canonical one.
     """
     d, n = frame.dim, frame.count
     if n != d:

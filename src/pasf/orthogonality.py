@@ -46,7 +46,7 @@ class InterpolationOperators:
 
 def is_orthogonal(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Operator criterion: theta_tau theta_g and theta_omega theta_f both
-    vanish, each scaled by its factors (see ``_product_agrees``)."""
+    vanish, each with the rounding on its factors (see ``_product_agrees``)."""
     _require_same_spaces(frame1, frame2)
     return (
         _product_agrees(frame1.vectors, frame2.functionals, 0.0, tol)
@@ -64,8 +64,8 @@ def interpolate(
 
     Preconditions are enforced in order: both frames Parseval
     (:class:`NotParseval`), mutually orthogonal (:class:`NotOrthogonal`),
-    and the contract C A + D B = I under the criterion rule, scaled by
-    |C| |A| + |D| |B| (:class:`ContractViolated`, carrying the residual).
+    and the contract C A + D B = I under the criterion rule, with the
+    rounding on |C| |A| + |D| |B| (:class:`ContractViolated`, carrying the residual).
     """
     _require_same_spaces(frame1, frame2)
     d = frame1.dim
@@ -84,9 +84,9 @@ def interpolate(
     c, dd = ops.c_op.entries, ops.d_op.entries
     with np.errstate(over="ignore", invalid="ignore"):  # past the double range: a violation or not a frame
         residual = _absmax(c @ a + dd @ b - np.eye(d))
-        # the product [C D] [A; B]: its scale, |C| |A| + |D| |B|, is read only past tol
+        # the product [C D] [A; B]: its summands, |C| |A| + |D| |B|, are read only past tol
         terms = 0.0 if residual <= tol else _absmax(np.abs(c) @ np.abs(a) + np.abs(dd) @ np.abs(b))
-        if not _agrees(residual, tol, terms, terms, 2 * d):
+        if not _agrees(residual, tol, 1.0, terms, 2 * d):
             raise ContractViolated(f"C A + D B deviates from the identity by {residual:.3e}", residual=residual)
         functionals = frame1.functionals @ a + frame2.functionals @ b
         vectors = c @ frame1.vectors + dd @ frame2.vectors
@@ -103,9 +103,9 @@ def scalar_interpolate(
     tol: float = DEFAULT_TOL,
 ) -> FramePair:
     """Scalar stitching (a f_k + b g_k, c tau_k + d omega_k) with c a + d b = 1,
-    scaled by |c a| + |d b| as :func:`interpolate`'s contract is."""
+    with the rounding on |c a| + |d b| as in :func:`interpolate`'s contract."""
     residual, terms = abs(c * a + d * b - 1.0), abs(c * a) + abs(d * b)
-    if not _agrees(residual, tol, terms, terms, 2):
+    if not _agrees(residual, tol, 1.0, terms, 2):
         raise ContractViolated(f"c*a + d*b = {c * a + d * b!r} is not 1", residual=residual)
     eye = identity(frame1.x_space)
 

@@ -98,26 +98,25 @@ def _product(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
 
 def _similarity(
     frame1: FramePair, frame2: FramePair, tol: float
-) -> tuple[bool, SimilarityWitness | None]:
-    """are_similar's verdict and the witness it checked, None when none was formed."""
+) -> tuple[bool, SimilarityWitness | None, float]:
+    """are_similar's verdict, the witness it checked (None if none was formed) and its products' agreement."""
     _require_same_spaces(frame1, frame2)
     p1, p2 = _canonical(frame1, tol).projection, _canonical(frame2, tol).projection
     with np.errstate(over="ignore", invalid="ignore"):
         diff, scale = _absmax(p1 - p2), max(_absmax(p1), _absmax(p2))
     if not _agrees(diff, tol, scale):
-        return False, None
+        return False, None, tol
     witness = witness_from_frames(frame1, frame2, tol)
     if not witness.invertible:
         raise ConsistencyError("projections agree but a witness candidate is singular")
     # f1 T_fg = P1 f2 against f2 = P2 f2, and T_tw tau1 = tau2 P1 against tau2 = tau2 P2:
-    # P1 - P2, up to its limit tol max(1, scale), carries into both through n coefficients
-    agreement = frame1.count * tol * max(1.0, scale)
+    # P1 - P2 carries into both through n coefficients, so each drifts by at most n diff
+    agreement = max(tol, frame1.count * diff)
     for a, b, target in [(frame1.functionals, witness.t_fg.entries, frame2.functionals),
                          (witness.t_tau_omega.entries, frame1.vectors, frame2.vectors)]:
         if not _product_agrees(a, b, target, agreement):
-            drift = _residual(a, b, target)
-            raise ConsistencyError(f"projections agree but witness transport drifts by {drift:.3e}")
-    return True, witness
+            raise ConsistencyError(f"projections agree but witness transport drifts by {_residual(a, b, target):.3e}")
+    return True, witness, agreement
 
 
 def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
@@ -125,7 +124,7 @@ def are_similar(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) 
 
     When the projections agree, the recovered witnesses are checked to
     be invertible and to actually transport frame1 onto frame2, each a
-    product criterion held to n times the projections' limit; a failure
+    product criterion held to n max|P_1 - P_2|, or tol; a failure
     there means the equivalence broke numerically and raises
     :class:`ConsistencyError`.
     """
@@ -154,18 +153,19 @@ def parseval_transfer_check(
     """Whether a frame similar to a Parseval frame is itself Parseval.
 
     Equivalent to the witnesses composing to the identity, in either
-    order; both routes are evaluated, each a product criterion scaled by
-    its factors, and must agree with the direct Parseval test of frame2.
+    order; both routes are evaluated, each a product criterion held, as
+    the transports are, to n max|P_1 - P_2| or tol, and must agree with
+    the direct Parseval test of frame2.
     """
     if not _parseval(frame_parseval, tol):
         raise NotParseval("first frame is not Parseval")
-    similar, witness = _similarity(frame_parseval, frame2, tol)
+    similar, witness, agreement = _similarity(frame_parseval, frame2, tol)
     if not similar:
         raise NotSimilar("frames are not similar")
     a, b = witness.t_fg.entries, witness.t_tau_omega.entries
     eye = np.eye(frame_parseval.dim)
-    by_product = _product_agrees(b, a, eye, tol)
-    by_reverse = _product_agrees(a, b, eye, tol)
+    by_product = _product_agrees(b, a, eye, agreement)
+    by_reverse = _product_agrees(a, b, eye, agreement)
     direct = _parseval(frame2, tol)
     if by_product != direct or by_reverse != direct:
         raise ConsistencyError(

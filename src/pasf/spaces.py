@@ -430,15 +430,15 @@ def _agrees(diff: float, tol: float, scale: float, summands: float = 0.0, n: int
 
 
 def _product_agrees(a: np.ndarray, b: np.ndarray, target: np.ndarray | float, tol: float) -> bool:
-    """Whether a @ b equals ``target`` under :func:`_agrees`, scaled by its
-    factors: scale and summands are the largest entry of |a| |b|, formed only
+    """Whether a @ b equals ``target`` under :func:`_agrees`: scaled by the
+    target, with the rounding on the largest entry of |a| |b|, formed only
     once the difference passes tol."""
     drift = _residual(a, b, target)
     if not tol < drift < INF:  # within tol, or NaN or inf, where |a| |b| would be too
         return drift <= tol
     with np.errstate(over="ignore"):
         summands = _absmax(np.abs(a) @ np.abs(b))
-    return _agrees(drift, tol, summands, summands, a.shape[1])
+    return _agrees(drift, tol, _absmax(np.asarray(target)), summands, a.shape[1])
 
 
 def _residual(a: np.ndarray, b: np.ndarray, target: np.ndarray | float) -> float:

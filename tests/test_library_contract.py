@@ -20,6 +20,7 @@ one criterion rule scales with what it compares: no verdict changes under
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pasf import (
+    ConsistencyError,
     FramePair,
     PasfError,
     PNormSpace,
@@ -48,6 +50,7 @@ from pasf import (
     validate,
     witness_from_frames,
 )
+from pasf import similarity
 from pasf.cli import main
 from pasf.generators import reconstruction_oracle
 from pasf.spaces import _agrees
@@ -504,6 +507,16 @@ def test_a_frame_whose_projection_is_large_is_similar_to_its_parseval_frame(seed
     assert are_similar(parseval, frame) is True
 
 
+@pytest.mark.parametrize("d, n, p, seed", [(8, 16, 2.0, 1149), (8, 16, 2.0, 1268), (4, 7, 1.5, 218),
+                                           (3, 5, math.inf, 545), (3, 5, math.inf, 1024)])
+def test_parseval_transfers_between_the_parseval_frames_of_a_large_projection(d, n, p, seed):
+    # both Parseval frames have max|S - I| near 1e-12, but their projections
+    # differ by up to 2.3e-8, and so the witnesses compose to I only within
+    # 3.5e-8, far above tol yet within n max|P1 - P2|
+    first, second = parsevalize(random_frame(d, n, p, seed=seed))
+    assert parseval_transfer_check(first, second) is True
+
+
 @settings(deadline=None, max_examples=100)
 @given(d=st.integers(1, 4), extra=st.integers(0, 2), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
        seed=st.integers(0, 2**32 - 1), c=st.floats(1e-6, 1e6))
@@ -519,3 +532,39 @@ def test_scaling_f_and_tau_both_by_c_moves_s_by_c_squared_and_the_parseval_verdi
     for c in (1.0 + 1e-9, 0.5, 3.0):
         both = FramePair(parseval.x_space, parseval.seq_space, parseval.functionals * c, parseval.vectors * c)
         assert validate(both).parseval is False
+
+
+# ---------------------------------------------------------------------------
+# a product criterion is scaled by its target; only its rounding grows with the factors
+
+
+def test_a_candidate_off_by_one_is_not_a_dual_however_large_its_summands():
+    # S = 1; tau g = 1e10 - (1e10 - 2) = 2 misses 1 on summands of 1e10, far
+    # above their rounding (6e-4), and likewise tau g = 1 misses 0
+    frame = FramePair(PNormSpace(1, 2.0), PNormSpace(2, 2.0), [[0.5e-5], [0.5]], [[1e5, 1.0]])
+    assert validate(frame).parseval is True
+    off = FramePair(frame.x_space, frame.seq_space, [[1e5], [-1e10 + 2.0]], [[0.0, 2.0]])
+    assert is_dual(frame, off) is False
+    assert is_dual(frame, canonical_dual(frame)) is True
+    skew = FramePair(frame.x_space, frame.seq_space, [[1e5], [-1e10 + 1.0]], [[0.0, 0.0]])
+    assert is_orthogonal(frame, skew) is False
+
+
+def test_a_transport_is_held_to_the_projections_measured_difference(monkeypatch):
+    # max|P| is 5.6e114 and the projections agree exactly; a witness that
+    # moves f1 T_fg off f2 by 1e-6 relative is caught. A limit of
+    # n tol max(1, max|P|) would admit any drift up to the frame's own size
+    base = random_frame(1, 3, 1.5, seed=27)
+    frame = FramePair(base.x_space, base.seq_space, np.ldexp(base.functionals, [[-261], [674], [-531]]),
+                      np.ldexp(base.vectors, [[134, -247, -90]]))
+    parseval = parsevalize(frame)[0]
+    assert are_similar(frame, parseval) is True
+    exact_witness = similarity.witness_from_frames
+
+    def off(frame1, frame2, tol):
+        w = exact_witness(frame1, frame2, tol)
+        return replace(w, t_fg=replace(w.t_fg, entries=w.t_fg.entries * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(similarity, "witness_from_frames", off)
+    with pytest.raises(ConsistencyError, match="transport"):
+        are_similar(frame, parseval)

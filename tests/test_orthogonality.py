@@ -124,6 +124,19 @@ def test_scalar_contract_violation():
     assert info.value.residual == pytest.approx(1.0)
 
 
+def test_contract_is_scaled_by_its_target_not_its_summands():
+    # c a + d b = 1e10 - (1e10 - 20) = 20: a miss of 19 on summands of 2e10,
+    # far above their rounding (6e-4), so no frame with S = 20 I is stitched
+    frame1, frame2 = block_orthogonal_pair()
+    big, eye = 1e10, np.eye(2)
+    with pytest.raises(ContractViolated) as info:
+        scalar_interpolate(frame1, frame2, 1.0, big - 20.0, big, -1.0)
+    assert info.value.residual == pytest.approx(19.0)
+    with pytest.raises(ContractViolated) as info:
+        interpolate(frame1, frame2, ops_from(frame1, eye, (big - 20.0) * eye, big * eye, -eye))
+    assert info.value.residual == pytest.approx(19.0)
+
+
 @pytest.mark.parametrize("scalars", [(np.nan, 0.0, 1.0, 0.0), (1.0, 0.0, np.nan, 0.0), (np.inf, 0.0, 1.0, 0.0)])
 def test_scalar_contract_rejects_non_finite(scalars):
     frame1, frame2 = block_orthogonal_pair()
