@@ -142,14 +142,15 @@ def dual_from_parameters(
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
     _require_rank(gate, tol, GateSingular, "gate operator", c.s.entries)
     candidate = DualCandidate(frame=replace(frame, functionals=g, vectors=omega), u_param=u, v_param=v)
-    g_max, omega_max = _absmax(g), _absmax(omega)
-    if not (math.isfinite(g_max) and math.isfinite(omega_max)):
+    drift = _residual(omega, g, gate)
+    if drift <= _CROSS_CHECK_TOL or not (math.isfinite(_absmax(g)) and math.isfinite(_absmax(omega))):
         return candidate
     # I - P rounds on the scale 1 + max|P|, so V (I - P) U carries error on
-    # max|V| (1 + max|P|) max|U| even when it is far smaller itself
-    summands = (_absmax(si) + _absmax(v.entries) * (1.0 + _absmax(c.projection)) * _absmax(u.entries)
-                + omega_max * g_max)
-    drift = _residual(omega, g, gate)
+    # max|V| (1 + max|P|) max|U| even when it is far smaller itself; |omega| |g|
+    # is formed only past tol, as in ``_product_agrees``
+    with np.errstate(over="ignore"):
+        summands = (_absmax(si) + _absmax(v.entries) * (1.0 + _absmax(c.projection)) * _absmax(u.entries)
+                    + _absmax(np.abs(omega) @ np.abs(g)))
     if not _agrees(drift, _CROSS_CHECK_TOL, _absmax(gate), summands, n):
         raise ConsistencyError(f"gate operator and candidate frame operator disagree by {drift:.3e}")
     return candidate

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotAFrame, NotInvertible, RequiresSquare, Singular
 from .spaces import (
     DEFAULT_TOL,
+    INF,
     LinearMap,
     NormBound,
     PNormSpace,
@@ -33,12 +34,11 @@ from .spaces import (
     _agrees,
     _certified,
     _exact_bound,
-    _exponent,
     _freeze,
     _lp,
+    _product,
     _rank,
     _require_rank,
-    _scaled,
     _sealed,
     compose,
     invert_with_rcond,
@@ -154,55 +154,51 @@ def _formed(form: Callable[[_Canonical], np.ndarray]) -> cached_property:
     """A product of the record, formed on its first read and kept read-only.
     Where its true value leaves the double range, as P does for a frame
     whose f and tau are large in unmatched coordinates, it does too,
-    silently: a one-sided inverse past it certifies nothing (the SVD
-    decides), and a test on such a P fails."""
+    silently (see ``_product``): a one-sided inverse past it certifies
+    nothing (the SVD decides), and a test on such a P fails."""
 
-    def read_only(record: _Canonical) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            found = form(record)
-        return _sealed(found)
-
-    return cached_property(read_only)
+    return cached_property(lambda record: _sealed(form(record)))
 
 
 class _Canonical:
     """What a frame knows at one tol: S, S^-1 and rcond, from one inversion,
     and the products built from S^-1, each formed on first read.
 
-    The products are formed on the balanced factors f 2^-k and tau 2^k, for
-    k = (e_f - e_tau) // 2 and e_f, e_tau the exponents of max|f| and
-    max|tau| (see ``_exponent``). The exchange leaves S, S^-1 and P
-    unchanged, so P leaves the double range only where its true value
-    does; the canonical dual is scaled back by 2^k and 2^-k on first read,
-    and holds inf only where its true value overflows. At k = 0, or where
-    the exchange would round an entry of the factor it scales down, the
-    factors are the frame's own arrays."""
+    P and the witnesses go through whichever of f S^-1 and S^-1 tau is
+    finite, and ``_product`` forms each product of two factors, so none
+    leaves the double range unless its true value, or its factor's, does."""
 
     def __init__(self, frame: FramePair, tol: float):
         self.s, self.s_inv, self.rcond = _invert_frame_op(frame, tol)
-        f, t = frame.functionals, frame.vectors
-        k = (_exponent(f) - _exponent(t)) // 2
-        fb, tb = _scaled(f, k)[0], _scaled(t, -k)[0]
-        # the factor scaled up stays below 2^((e_f + e_tau) / 2), in range; the
-        # one scaled down keeps its bits unless an entry falls below 2^-1022
-        down, source = (fb, f) if k > 0 else (tb, t)
-        if k and not np.array_equal(_scaled(down, -abs(k))[0], source):
-            k, fb, tb = 0, f, t  # the exchange would round an entry
-        # the frame's matrices, balanced, not the frame, whose memo holds this record
-        self.k, self.functionals, self.vectors = k, fb, tb
+        # the frame's matrices, not the frame, whose memo holds this record
+        self.functionals, self.vectors = frame.functionals, frame.vectors
 
-    #: (theta_f 2^-k) S^-1, the canonical dual's functionals, balanced
-    balanced_dual_functionals = _formed(lambda self: self.functionals @ self.s_inv.entries)
-    #: S^-1 (theta_tau 2^k), the canonical dual's vectors, balanced
-    balanced_dual_vectors = _formed(lambda self: self.s_inv.entries @ self.vectors)
     #: theta_f S^-1, the canonical dual's functionals and a right inverse of theta_tau
-    dual_functionals = _formed(lambda self: _scaled(self.balanced_dual_functionals, -self.k)[0])
+    dual_functionals = _formed(lambda self: _product(self.functionals, self.s_inv.entries))
     #: S^-1 theta_tau, the canonical dual's vectors and a left inverse of theta_f
-    dual_vectors = _formed(lambda self: _scaled(self.balanced_dual_vectors, self.k)[0])
-    #: P = (theta_f 2^-k S^-1) (theta_tau 2^k)
-    projection = _formed(lambda self: self.balanced_dual_functionals @ self.vectors)
+    dual_vectors = _formed(lambda self: _product(self.s_inv.entries, self.vectors))
+
+    @_formed
+    def projection(self) -> np.ndarray:
+        """P = (f S^-1) tau, or f (S^-1 tau) where f S^-1 overflows."""
+        if _absmax(self.dual_functionals) < INF:
+            return _product(self.dual_functionals, self.vectors)
+        return _product(self.functionals, self.dual_vectors)
+
     #: I - P, which parameterizes every dual
     complement = _formed(lambda self: np.eye(len(self.projection)) - self.projection)
+
+    def dual_vectors_times(self, g: np.ndarray) -> np.ndarray:
+        """S^-1 tau g: (S^-1 tau) g, or S^-1 (tau g) where S^-1 tau overflows."""
+        if _absmax(self.dual_vectors) < INF:
+            return _product(self.dual_vectors, g)
+        return _product(self.s_inv.entries, _product(self.vectors, g))
+
+    def times_dual_functionals(self, omega: np.ndarray) -> np.ndarray:
+        """omega f S^-1: omega (f S^-1), or (omega f) S^-1 where f S^-1 overflows."""
+        if _absmax(self.dual_functionals) < INF:
+            return _product(omega, self.dual_functionals)
+        return _product(_product(omega, self.functionals), self.s_inv.entries)
 
 
 def _canonical(frame: FramePair, tol: float) -> _Canonical:
@@ -281,11 +277,15 @@ def reconstruct(frame: FramePair, x: Vector, tol: float = DEFAULT_TOL) -> tuple[
     """
     if x.space.dim != frame.dim:
         raise DimensionMismatch(f"vector of dim {x.space.dim} does not live on a dim-{frame.dim} space")
-    c = _canonical(frame, tol)
-    f, t = c.functionals, c.vectors  # balanced, so an expansion overflows only where its true value does
+    f, t, c = frame.functionals, frame.vectors, _canonical(frame, tol)
+    s, s_inv = c.s.entries, c.s_inv.entries
     with np.errstate(over="ignore", invalid="ignore"):  # past the double range a residual is inf or NaN
-        first = t @ (f @ (c.s_inv.entries @ x.coords))  # coefficients of the dual functionals, original vectors
-        second = c.balanced_dual_vectors @ (f @ x.coords)  # original coefficients, dual vectors
+        y = s_inv @ x.coords
+        first = t @ (f @ y)  # coefficients of the dual functionals, original vectors
+        second = c.dual_vectors @ (f @ x.coords)  # original coefficients, dual vectors
+        # an expansion whose coefficients or dual vectors overflow is summed through S = tau f instead
+        first = first if _absmax(first) < INF else s @ y
+        second = second if _absmax(second) < INF else s_inv @ (s @ x.coords)
         r1 = _lp(first - x.coords, frame.x_space.p)
         r2 = _lp(second - x.coords, frame.x_space.p)
     return Vector(space=frame.x_space, coords=first), Vector(space=frame.x_space, coords=second), r1, r2

@@ -17,7 +17,6 @@ two canonical Parseval frames: (f S^-1, tau) and (f, S^-1 tau).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _held, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees, _rank, _residual, _scaled
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees, _rank, _residual
 
 
 @dataclass(frozen=True)
@@ -57,43 +56,25 @@ def witness_from_frames(
     has rank below dim at ``tol``, which callers can use to inspect near
     misses. When frame2's S^-1 is already known at ``tol``, the reverse
     witnesses from frame2 to frame1 may certify full rank; the SVD
-    decides otherwise. Each witness is formed from frame1's balanced
-    canonical dual and frame2's balanced factors when its S^-1 is known
-    (see ``_product``), so it leaves the double range only where its true
+    decides otherwise. Each witness is formed through its first frame's
+    canonical dual where that is finite, and through S^-1 otherwise (see
+    ``_Canonical``), so it leaves the double range only where its true
     value does, and then has rank 0.
     """
     _require_same_spaces(frame1, frame2)
     c1, c2 = _canonical(frame1, tol), _held(frame2, tol)
-    # (S1^-1 tau1) f2 and tau2 (f1 S1^-1) from balanced factors, frame2's own
-    # when its record is not held, so each product pairs factors of like scale
-    f2, t2, k2 = (frame2.functionals, frame2.vectors, 0) if c2 is None else (c2.functionals, c2.vectors, c2.k)
-    k = k2 - c1.k
-    t_fg = _product(c1.balanced_dual_vectors, f2, k)
-    t_tw = _product(t2, c1.balanced_dual_functionals, -k)
+    t_fg = c1.dual_vectors_times(frame2.functionals)
+    t_tw = c1.times_dual_functionals(frame2.vectors)
     rev_fg = rev_tw = None
     if c2 is not None:
-        rev_fg = _product(c2.balanced_dual_vectors, c1.functionals, -k)
-        rev_tw = _product(c1.vectors, c2.balanced_dual_functionals, k)
+        rev_fg = c2.dual_vectors_times(frame1.functionals)
+        rev_tw = c2.times_dual_functionals(frame1.vectors)
     space, d = frame1.x_space, frame1.dim
     return SimilarityWitness(
         t_fg=LinearMap(domain=space, codomain=space, entries=t_fg),
         t_tau_omega=LinearMap(domain=space, codomain=space, entries=t_tw),
         invertible=_rank(t_fg, tol, rev_fg) == d and _rank(t_tw, tol, rev_tw) == d,
     )
-
-
-def _product(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
-    """(a @ b) 2^e. a @ b is formed directly, which the scaling back leaves
-    exact; only where it overflows, or all of it falls below 2^-1022, from
-    finite nonzero factors is it formed again on a and b each scaled by its
-    own power of two, where an entry more than 2^1074 below its factor's
-    largest counts as 0. A non-finite factor gives inf or NaN, silently."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = a @ b
-    if not 2.0**-1022 <= _absmax(product) < math.inf and all(0.0 < _absmax(m) < math.inf for m in (a, b)):
-        (a, ea), (b, eb) = _scaled(a), _scaled(b)
-        product, e = a @ b, e + ea + eb
-    return _scaled(product, -e)[0]
 
 
 def _similarity(

@@ -105,6 +105,20 @@ def _scaled(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
         return np.ldexp(a, -e), e
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, formed silently. A finite entry keeps its bits, since none of
+    its terms overflowed; only where an entry is not finite and both factors
+    are finite and nonzero is it formed again on a and b scaled by their
+    largest entries (see ``_scaled``) and scaled back, so it overflows only
+    where its true value does. A non-finite factor gives inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ b
+    if not _absmax(product) < INF and all(0.0 < _absmax(m) < INF for m in (a, b)):
+        (a, ea), (b, eb) = _scaled(a), _scaled(b)
+        np.copyto(product, _scaled(a @ b, -ea - eb)[0], where=~np.isfinite(product))
+    return product
+
+
 @dataclass(frozen=True, eq=False)
 class Vector:
     """An element of a :class:`PNormSpace`, stored as a dense coordinate array."""

@@ -476,8 +476,7 @@ def test_frames_are_freed_without_the_cyclic_gc():
 
 def test_canonical_products_are_formed_once_per_frame_and_tol(monkeypatch):
     formed = []
-    for name in ("balanced_dual_functionals", "balanced_dual_vectors", "dual_functionals",
-                 "dual_vectors", "projection", "complement"):
+    for name in ("dual_functionals", "dual_vectors", "projection", "complement"):
         product = vars(frames._Canonical)[name]
 
         def counting(record, name=name, form=product.func):
@@ -498,13 +497,11 @@ def test_canonical_products_are_formed_once_per_frame_and_tol(monkeypatch):
         random_dual(frame, seed)
     first = parsevalize(frame)[0]
     assert are_similar(frame, first)
-    balanced = ["balanced_dual_functionals", "balanced_dual_vectors"]
-    assert names(frame, DEFAULT_TOL) == [*balanced, "complement", "dual_functionals", "dual_vectors",
-                                         "projection"]
-    # frame2 of are_similar: its P, then the reverse witnesses read its balanced dual
-    assert names(first, DEFAULT_TOL) == [*balanced, "projection"]
+    assert names(frame, DEFAULT_TOL) == ["complement", "dual_functionals", "dual_vectors", "projection"]
+    # frame2 of are_similar: its P, then the reverse witnesses read its canonical dual
+    assert names(first, DEFAULT_TOL) == ["dual_functionals", "dual_vectors", "projection"]
     validate(frame, 1e-6)
-    assert names(frame, 1e-6) == [*balanced, "dual_functionals", "dual_vectors"]
+    assert names(frame, 1e-6) == ["dual_functionals", "dual_vectors"]
 
 
 def test_canonical_products_are_kept_per_tol():

@@ -153,8 +153,7 @@ def diagonal_frame(e):
 
 def found_frame():
     """A valid frame whose f S^-1 leaves the double range: S is near
-    2^-706, f S^-1 near 2^1024. Its P is in range, but formed from the
-    frame's own f and tau it would not be."""
+    2^-706, f S^-1 near 2^1024. Its P is in range, but (f S^-1) tau is not."""
     return scaled(random_frame(3, 5, 2.0, seed=24), 318, -1024)
 
 
@@ -256,6 +255,18 @@ def test_random_dual_samples_a_frame_whose_projection_overflows():
     assert random_dual(found_frame(), 0).frame.dim == 3
 
 
+def test_random_dual_samples_a_frame_whose_summand_bound_would_overflow():
+    # max|omega| max|g| passes the double range though no entry of omega is
+    # ever multiplied by the largest of g: |omega| |g| is near 1.3e236, and
+    # the candidate's frame operator meets the gate, near 1e236, to 2e-16
+    base = random_frame(1, 2, 1.5, seed=1236)
+    frame = entry_scaled(base, [[-279], [-597]], [[-503, -226]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(4):
+            assert is_dual(frame, random_dual(frame, seed).frame)
+
+
 @pytest.mark.parametrize("k", [30, 40])
 def test_similar_frames_of_large_scale_pass_the_transport_cross_check(k):
     # f and tau times 2^k: the witnesses transport within 7.2e-7 and 7.3e-4,
@@ -294,13 +305,40 @@ def test_exchanging_powers_of_two_between_f_and_tau_changes_no_verdict(d, extra,
     assert verdicts(moved) == verdicts(frame)
 
 
-@pytest.mark.parametrize("kf, kt", [(0, 0), (600, -1070), (318, -1024)])
+@pytest.mark.parametrize("kf, kt", [(0, 0), (600, -1070), (318, -1024), (-1024, 318), (-1070, 600)])
 @pytest.mark.parametrize("seed", range(4))
 def test_projection_matches_exact_rational_arithmetic_at_every_scale(seed, kf, kt):
     frame = scaled(random_frame(3, 5, 2.0, seed=seed, min_rcond=1e-3), kf, kt)
     found = projection(frame).entries
     error = exact.max_error(found, exact.projection(frame.functionals, frame.vectors))
     assert error <= 1e-9 * max(1.0, float(np.abs(found).max()))
+
+
+@pytest.mark.parametrize("kf, kt", [(318, -1024), (-1024, 318), (600, -1070), (-1070, 600)])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_frame_whose_canonical_dual_overflows_reconstructs(seed, kf, kt):
+    # f S^-1 x or S^-1 tau overflows, though each expansion of x is x
+    frame = scaled(random_frame(3, 5, 2.0, seed=seed, min_rcond=1e-3), kf, kt)
+    x = Vector(frame.x_space, np.linspace(-1.0, 1.0, frame.dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r1, r2 = reconstruct(frame, x)[2:]
+    assert r1 <= 1e-12 and r2 <= 1e-12
+
+
+@pytest.mark.parametrize("kf, kt", [(318, -1024), (-1024, 318), (600, -1070), (-1070, 600)])
+@pytest.mark.parametrize("seed", range(4))
+def test_witnesses_of_a_frame_to_itself_match_exact_arithmetic_where_one_dual_overflows(seed, kf, kt):
+    # f S^-1 overflows when f is scaled up, S^-1 tau when tau is: each witness
+    # is formed through whichever of the two is finite, and is exactly I
+    frame = scaled(random_frame(3, 5, 2.0, seed=seed, min_rcond=1e-3), kf, kt)
+    dual = canonical_dual(frame)
+    assert np.isfinite(dual.functionals).all() != np.isfinite(dual.vectors).all()
+    witness = witness_from_frames(frame, frame)
+    assert witness.invertible
+    eye = exact.exact(np.eye(frame.dim))
+    for found in (witness.t_fg.entries, witness.t_tau_omega.entries):
+        assert exact.max_error(found, eye) <= 4 * (frame.count + 2) * EPS
 
 
 def test_exact_referee_inverts_and_multiplies_exactly():
