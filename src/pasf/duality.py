@@ -17,7 +17,6 @@ theta_tau and all left inverses of theta_f.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import (DEFAULT_TOL, LinearMap, NormBound, _absmax, _agrees, _product_agrees, _rank,
+from .spaces import (DEFAULT_TOL, INF, LinearMap, NormBound, _absmax, _agrees, _product_agrees, _rank,
                      _require_rank, _residual)
 
 #: Entrywise agreement required between the two gate-operator routes.
@@ -141,19 +140,15 @@ def dual_from_parameters(
         omega += c.dual_vectors
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small
     _require_rank(gate, tol, GateSingular, "gate operator", c.s.entries)
-    candidate = DualCandidate(frame=replace(frame, functionals=g, vectors=omega), u_param=u, v_param=v)
     drift = _residual(omega, g, gate)
-    if drift <= _CROSS_CHECK_TOL or not (math.isfinite(_absmax(g)) and math.isfinite(_absmax(omega))):
-        return candidate
     # I - P rounds on the scale 1 + max|P|, so V (I - P) U carries error on
-    # max|V| (1 + max|P|) max|U| even when it is far smaller itself; |omega| |g|
-    # is formed only past tol, as in ``_product_agrees``
-    with np.errstate(over="ignore"):
-        summands = (_absmax(si) + _absmax(v.entries) * (1.0 + _absmax(c.projection)) * _absmax(u.entries)
-                    + _absmax(np.abs(omega) @ np.abs(g)))
-    if not _agrees(drift, _CROSS_CHECK_TOL, _absmax(gate), summands, n):
+    # max|V| (1 + max|P|) max|U| even when it is far smaller itself
+    agrees = _agrees(drift, _CROSS_CHECK_TOL, _absmax(gate), lambda: (
+        _absmax(si) + _absmax(v.entries) * (1.0 + _absmax(c.projection)) * _absmax(u.entries)
+        + _absmax(np.abs(omega) @ np.abs(g))), n)
+    if not agrees and _absmax(g) < INF and _absmax(omega) < INF:
         raise ConsistencyError(f"gate operator and candidate frame operator disagree by {drift:.3e}")
-    return candidate
+    return DualCandidate(frame=replace(frame, functionals=g, vectors=omega), u_param=u, v_param=v)
 
 
 def parameters_from_dual(
@@ -173,16 +168,14 @@ def parameters_from_dual(
 def has_unique_dual(frame: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient uniqueness criterion: tau basis plus biorthogonality.
 
-    True when the frame is square (count == dim), the vectors matrix is
-    invertible, and theta_f theta_tau = I, with the rounding on its factors
-    (see ``_product_agrees``). Such a frame admits no dual other than its canonical one.
+    True when the frame is square (count == dim), theta_f theta_tau = I, with the
+    rounding on its factors (see ``_product_agrees``), and the vectors matrix has
+    full rank by the SVD rule; theta_f, then an approximate inverse, proves that
+    with no SVD where it can. Such a frame admits no dual other than its canonical one.
     """
     d, n = frame.dim, frame.count
-    if n != d:
-        return False
-    if _rank(frame.vectors, tol) < d:
-        return False
-    return _product_agrees(frame.functionals, frame.vectors, np.eye(n), tol)
+    return (n == d and _product_agrees(frame.functionals, frame.vectors, np.eye(n), tol)
+            and _rank(frame.vectors, tol, frame.functionals) == d)
 
 
 def canonical_dual_bounds(report: FrameReport) -> tuple[NormBound, NormBound]:

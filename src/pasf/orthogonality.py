@@ -84,9 +84,8 @@ def interpolate(
     c, dd = ops.c_op.entries, ops.d_op.entries
     with np.errstate(over="ignore", invalid="ignore"):  # past the double range: a violation or not a frame
         residual = _absmax(c @ a + dd @ b - np.eye(d))
-        # the product [C D] [A; B]: its summands, |C| |A| + |D| |B|, are read only past tol
-        terms = 0.0 if residual <= tol else _absmax(np.abs(c) @ np.abs(a) + np.abs(dd) @ np.abs(b))
-        if not _agrees(residual, tol, 1.0, terms, 2 * d):
+        # the product [C D] [A; B], whose summands are |C| |A| + |D| |B|
+        if not _agrees(residual, tol, 1.0, lambda: _absmax(np.abs(c) @ np.abs(a) + np.abs(dd) @ np.abs(b)), 2 * d):
             raise ContractViolated(f"C A + D B deviates from the identity by {residual:.3e}", residual=residual)
         functionals = frame1.functionals @ a + frame2.functionals @ b
         vectors = c @ frame1.vectors + dd @ frame2.vectors
@@ -104,8 +103,8 @@ def scalar_interpolate(
 ) -> FramePair:
     """Scalar stitching (a f_k + b g_k, c tau_k + d omega_k) with c a + d b = 1,
     with the rounding on |c a| + |d b| as in :func:`interpolate`'s contract."""
-    residual, terms = abs(c * a + d * b - 1.0), abs(c * a) + abs(d * b)
-    if not _agrees(residual, tol, 1.0, terms, 2):
+    residual = abs(c * a + d * b - 1.0)
+    if not _agrees(residual, tol, 1.0, lambda: abs(c * a) + abs(d * b), 2):
         raise ContractViolated(f"c*a + d*b = {c * a + d * b!r} is not 1", residual=residual)
     eye = identity(frame1.x_space)
 

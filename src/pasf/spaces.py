@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -433,26 +434,25 @@ def _require_rank(a: np.ndarray, tol: float, error: type[_RankError], what: str,
         raise error(f"{what} is singular at tol={tol:g}: rank {found} of {n}", rank=found)
 
 
-def _agrees(diff: float, tol: float, scale: float, summands: float = 0.0, n: int = 0) -> bool:
-    """The one rule of every verdict and cross-check: a difference ``diff``
-    passes when at most tol × max(1, scale) plus the rounding on the largest
-    ``summands`` of a cancellation over ``n`` terms, 32 n^2 eps each, tested
-    as (diff - rounding) / max(1, scale) <= tol so that nothing overflows.
-    Within tol it always passes; past it, rounding past the double range bounds nothing; NaN fails."""
-    rounding = 32.0 * n * n * _EPS * summands
-    return diff <= tol or (rounding < INF and (diff - rounding) / max(1.0, scale) <= tol)
+def _agrees(diff: float, tol: float, scale: float,
+            summands: Callable[[], float] = lambda: 0.0, n: int = 0) -> bool:
+    """The one rule of every verdict and cross-check: ``diff`` passes when at most
+    tol × max(1, scale) plus the rounding on the largest ``summands`` of a cancellation
+    over ``n`` terms, 32 n^2 eps each, tested as (diff - rounding) / max(1, scale) <= tol
+    so that nothing overflows. Within tol it passes and NaN or inf fails, with ``summands``
+    unread; past tol it is read silently, and rounding past the double range bounds nothing."""
+    if not tol < diff < INF:
+        return diff <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounding = 32.0 * n * n * _EPS * summands()
+        return rounding < INF and (diff - rounding) / max(1.0, scale) <= tol
 
 
 def _product_agrees(a: np.ndarray, b: np.ndarray, target: np.ndarray | float, tol: float) -> bool:
     """Whether a @ b equals ``target`` under :func:`_agrees`: scaled by the
-    target, with the rounding on the largest entry of |a| |b|, formed only
-    once the difference passes tol."""
-    drift = _residual(a, b, target)
-    if not tol < drift < INF:  # within tol, or NaN or inf, where |a| |b| would be too
-        return drift <= tol
-    with np.errstate(over="ignore"):
-        summands = _absmax(np.abs(a) @ np.abs(b))
-    return _agrees(drift, tol, _absmax(np.asarray(target)), summands, a.shape[1])
+    target, with the rounding on the largest entry of |a| |b|."""
+    return _agrees(_residual(a, b, target), tol, _absmax(np.asarray(target)),
+                   lambda: _absmax(np.abs(a) @ np.abs(b)), a.shape[1])
 
 
 def _residual(a: np.ndarray, b: np.ndarray, target: np.ndarray | float) -> float:

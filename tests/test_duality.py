@@ -25,7 +25,7 @@ from pasf import (
     synthesis_operator,
     validate,
 )
-from pasf import frames
+from pasf import frames, spaces
 
 from helpers import make_frame, maxdiff, scaled_frame, standard_frame, tall_frame
 
@@ -297,6 +297,16 @@ def test_unique_dual_fails_without_biorthogonality():
     t = rng.matrix(3, 3)
     frame = make_frame(2.0 * np.linalg.inv(t), t)
     assert not has_unique_dual(frame)
+
+
+def test_unique_dual_certifies_tau_with_f_and_runs_no_svd(monkeypatch):
+    # f tau = I, so f is an approximate inverse of tau and proves its full rank
+    eliminated = []
+    real = spaces._eliminate
+    monkeypatch.setattr(spaces, "_eliminate", lambda a, tol: eliminated.append(a.shape) or real(a, tol))
+    f = random_frame(8, 8, seed=3).functionals
+    assert has_unique_dual(make_frame(f, np.linalg.inv(f)))
+    assert eliminated == []
 
 
 def test_canonical_dual_bounds_scaled_identity():

@@ -9,7 +9,11 @@ of a criterion off its target by about eps max|D|, for eps in {tol/8,
 tol/2, 2 tol, 8 tol}. ``tests/exact.py`` then measures the stored
 matrices' true residual, and the verdict is asserted wherever that
 residual lies outside the band [tol/4, 4 tol]: True below it, False
-above it. Inside the band rounding may decide either way.
+above it. Inside the band rounding may decide either way. The same band
+holds interpolation's contract C A + D B = I, exact at A = B = I and
+C = D = I/2 before C moves by eps D, and validate's rank verdicts on
+f = H_1 D and tau = D^-1 H_1^T / n, whose singular values are exact
+for a diagonal D in powers of two.
 
 The rank certificate is held to H D H^T / n for a diagonal dyadic D,
 whose singular values are exactly |D_ii|: it must never prove full rank
@@ -17,6 +21,7 @@ where the smallest of them is below the threshold tol max|a|, nor on an
 exactly singular map, whatever inverse it is handed.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,12 +29,17 @@ import pytest
 
 from pasf import (
     DEFAULT_TOL,
+    ContractViolated,
     FramePair,
+    InterpolationOperators,
+    LinearMap,
     PNormSpace,
     are_similar,
     has_unique_dual,
+    interpolate,
     is_dual,
     is_orthogonal,
+    validate,
 )
 from pasf.frames import _parseval
 from pasf.spaces import _certified, _rank
@@ -158,6 +168,45 @@ def test_are_similar_against_exact_projections(d, n, eps):
     found = exact_gap(p1, p2) / scale
     assert_verdict(are_similar(first, moved), found, eps)
     assert_verdict(are_similar(moved, first), found, eps)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_interpolation_contract_against_exact_residuals(d, n, eps):
+    first, second = hadamard_pair(d, n)
+    # C A + D B = I exactly at A = B = I and C = D = I / 2; C + eps E moves it by eps E
+    a = b = np.eye(d)
+    c, dd = np.eye(d) / 2 + eps * dyadic(d, d, n), np.eye(d) / 2
+    ca, db = exact.product(exact.exact(c), exact.exact(a)), exact.product(exact.exact(dd), exact.exact(b))
+    found = exact_gap([[x + y for x, y in zip(*rows)] for rows in zip(ca, db)], exact.exact(np.eye(d)))
+    space = first.x_space
+    try:
+        interpolate(first, second, InterpolationOperators(*(LinearMap(space, space, m) for m in (a, b, c, dd))))
+    except ContractViolated:
+        holds = False
+    else:
+        holds = True
+    assert_verdict(holds, found, eps)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_validate_rank_verdicts_against_exact_singular_values(d, n, eps):
+    # f = H_1 D and tau = D^-1 H_1^T / n, D diagonal in powers of two, give S = I
+    # exactly, and Gram matrices f^T f = n D^2 and tau tau^T = D^-2 / n, so the
+    # singular values are sqrt(n) |D_ii| and 1 / (sqrt(n) |D_ii|); the smallest
+    # of each, over its largest entry, is sqrt(n) 2^-k, set near eps
+    k = round(math.log2(math.sqrt(n) / eps))
+    diagonal = np.array([2.0 ** -(i % 3) for i in range(d - 1)] + [2.0**-k])
+    h = hadamard(n)[:, :d]
+    f, t = h * diagonal, (h / diagonal).T / n
+    report = validate(frame(f, t))
+    for full_rank, left, right in [(report.analysis_injective, f.T, f), (report.synthesis_surjective, t, t.T)]:
+        gram = exact.product(exact.exact(left), exact.exact(right))
+        assert all(gram[i][j] == 0 for i in range(d) for j in range(d) if i != j)
+        ratio = math.sqrt(min(gram[i][i] for i in range(d))) / float(np.abs(left).max())
+        # full rank falls short exactly where that ratio is below tol, as a residual passes
+        assert_verdict(not full_rank, ratio, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,9 @@ def test_a_frame_of_extreme_scale_is_similar_to_itself(frame):
 
 def test_a_frame_is_similar_to_its_parseval_frame_of_another_scale():
     # S = 2^1008, and the Parseval frame's f is near 2^-636 where the frame's
-    # is near 2^372. The witness T = S^-1 is formed from both frames' balanced
-    # factors; from the frame's balanced S^-1 tau and the Parseval frame's own
-    # f it underflowed to 0
+    # is near 2^372. The witness T = S^-1, near 2^-1008, is (S^-1 tau) g: the
+    # frame's own S^-1 tau, near 2^-372, times the Parseval frame's own f,
+    # with neither factor rescaled, so the product stays in range
     frame = FramePair(PNormSpace(1, 2.0), PNormSpace(2, 2.0), [[2.0**372], [2.0**-219]],
                       [[2.0**636, 2.0**-346]])
     assert are_similar(frame, parsevalize(frame)[0]) is True
@@ -237,17 +237,17 @@ def test_a_frame_is_similar_to_its_parseval_frame_of_another_scale():
 
 def test_a_cross_check_threshold_past_the_double_range_bounds_nothing():
     # past tol, a limit past the double range lets no difference through
-    assert not _agrees(1.0, 1e-10, 1.0, math.inf, 4)
-    assert not _agrees(1.0, 1e-10, 1e300, 1e300 * 1e10, 64)
+    assert not _agrees(1.0, 1e-10, 1.0, lambda: math.inf, 4)
+    assert not _agrees(1.0, 1e-10, 1e300, lambda: 1e300 * 1e10, 64)
     # the limit is never below tol, so a difference within it passes at any scale
-    assert _agrees(1e-10, 1e-10, 1.0, math.inf, 4)
+    assert _agrees(1e-10, 1e-10, 1.0, lambda: math.inf, 4)
     # the limit 1e-10 max(1, 4) + 32 n^2 eps, one summand of 1 over n = 2 terms
     limit = 4e-10 + 128 * np.finfo(float).eps
-    assert _agrees(limit * (1 - 1e-9), 1e-10, 4.0, 1.0, 2)
-    assert not _agrees(limit * (1 + 1e-9), 1e-10, 4.0, 1.0, 2)
+    assert _agrees(limit * (1 - 1e-9), 1e-10, 4.0, lambda: 1.0, 2)
+    assert not _agrees(limit * (1 + 1e-9), 1e-10, 4.0, lambda: 1.0, 2)
     # the limit 1e10 max(1, 1e300) lies past the double range, but is never formed
     assert _agrees(1e300, 1e10, 1e300) and not _agrees(1e300, 1e-9, 1e300)
-    assert not _agrees(math.nan, 1e-10, 4.0, 1.0, 2)
+    assert not _agrees(math.nan, 1e-10, 4.0, lambda: 1.0, 2)
 
 
 def test_random_dual_samples_a_frame_whose_projection_overflows():
@@ -379,17 +379,16 @@ def is_frame(frame):
 
 
 def item8_frame():
-    """A frame whose record balances by 2^-180 while its Parseval frame's
-    exchange would round an entry, so that frame keeps its own arrays."""
+    """A frame whose f and tau together span 2^-655 to 2^630: S is near
+    2^900, and S^-1 tau and its Parseval frame's g each keep one nonzero entry."""
     x, s = PNormSpace(1, math.inf), PNormSpace(3, math.inf)
     return FramePair(x, s, np.ldexp(1.0, np.array([[-247], [-517], [270]])),
                      np.ldexp(1.0, np.array([[-177, -655, 630]])))
 
 
 def test_a_frame_is_similar_to_its_parseval_frame_whose_exchange_is_held_back():
-    # the witness pairs the frame's S^-1 tau 2^-180, near 2^-450, with the
-    # Parseval frame's own g, near 2^-630: the product, 2^-1080, underflows
-    # to 0 unless it is formed again on scaled factors
+    # the witness pairs the frame's S^-1 tau, near 2^-270, with the Parseval
+    # frame's own g, near 2^-630: their product, near 2^-900, is in range
     frame = item8_frame()
     parseval = parsevalize(frame)[0]
     assert are_similar(frame, parseval) is True

@@ -62,6 +62,27 @@ def test_orthogonality_never_reflexive():
         assert not is_orthogonal(frame, frame)
 
 
+def frame_times(frame, f_scale, tau_scale):
+    """``frame`` with f times ``f_scale`` and tau times ``tau_scale``."""
+    return make_frame(f_scale * frame.functionals, tau_scale * frame.vectors)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a criterion whose target is 0 is held to absolute tol (ROADMAP item 11)")
+@pytest.mark.parametrize("frame", [
+    pytest.param(frame_times(standard_frame(2), 1e-5, 1e-5), id="1e-5-I"),
+    pytest.param(frame_times(standard_frame(2), 2.0**-15, 2.0**-15), id="2^-15-I"),
+    pytest.param(frame_times(standard_frame(2), 2.0**-20, 2.0**-20), id="2^-20-I"),
+    # the extreme-scale frame CI runs the CLI on: S is near 2^-706
+    pytest.param(frame_times(random_frame(3, 5, seed=24), 2.0**318, 2.0**-1024), id="seed24-f2^318-tau2^-1024"),
+])
+def test_a_valid_frame_of_small_s_is_not_orthogonal_to_itself(frame):
+    # validate raises NotAFrame unless S = tau f is invertible, so tau f is not 0;
+    # but every entry of S is within tol of 0, and the criterion reads it as 0
+    validate(frame)
+    assert not is_orthogonal(frame, frame)
+
+
 def test_frame_not_orthogonal_to_its_dual():
     frame = random_frame(2, 5, seed=1)
     assert not is_orthogonal(frame, canonical_dual(frame))
