@@ -130,16 +130,10 @@ def frame_operator(frame: FramePair) -> LinearMap:
     return compose(synthesis_operator(frame), analysis_operator(frame))
 
 
-def _finite(frame: FramePair) -> bool:
-    return bool(np.isfinite(frame.functionals).all() and np.isfinite(frame.vectors).all())
-
-
 def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float]:
     try:
-        # a non-finite entry has rank 0; rejected before S = T F, whose inf - inf is NaN
-        if not _finite(frame):
-            raise Singular("frame has a non-finite entry", rank=0)
-        with np.errstate(over="ignore", invalid="ignore"):  # an S past the double range has rank 0
+        # an S past the double range, or formed from a non-finite entry, has rank 0
+        with np.errstate(over="ignore", invalid="ignore"):
             s = frame_operator(frame)
         s_inv, rcond = invert_with_rcond(s, tol)
     except Singular as exc:
@@ -217,7 +211,7 @@ def _held(frame: FramePair, tol: float) -> _Canonical | None:
 
 def _parseval(frame: FramePair, tol: float) -> bool:
     """``validate(frame, tol).parseval`` without the norm brackets: S = I,
-    scaled by S (see ``_agrees``). A finite frame whose S = T F passes, and
+    scaled by S (see ``_agrees``). A frame whose S = T F passes, and
     whose full rank the identity certifies as its approximate inverse, is
     Parseval with no inversion. Otherwise S^-1 decides: a singular S raises
     :class:`NotAFrame` with its rank, as in :func:`validate`.
@@ -227,8 +221,8 @@ def _parseval(frame: FramePair, tol: float) -> bool:
     def is_identity(s: np.ndarray) -> bool:
         return _agrees(_absmax(s - eye), tol, _absmax(s))
 
-    if _held(frame, tol) is None and _finite(frame):
-        # an S past the double range fails here, and again where S^-1 forms it
+    if _held(frame, tol) is None:
+        # an S past the double range or not finite fails here, and again where S^-1 forms it
         with np.errstate(over="ignore", invalid="ignore"):
             s = frame.vectors @ frame.functionals
         if is_identity(s) and _certified(s, tol, eye):

@@ -187,16 +187,33 @@ def test_validate_rank_deficient():
     assert info.value.rank == 1
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_validate_rejects_non_finite_entries(bad):
-    # a non-finite entry must never pass a rank check
-    frame = make_frame([[1, 0], [0, bad]], np.eye(2))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("in_tau", [False, True], ids=["f", "tau"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_entries(bad, in_tau):
+    # a non-finite entry must never pass a rank check, nor warn on its way to NotAFrame
+    entries = np.array([[1, 0], [0, bad]])
+    frame = make_frame(np.eye(2), entries) if in_tau else make_frame(entries, np.eye(2))
     with np.errstate(invalid="ignore"):  # T F forms 0 * inf here, which numpy warns about
         assert rank(frame_operator(frame)) == 0
-    assert rank(analysis_operator(frame)) == 0
-    with pytest.raises(NotAFrame) as info:
-        validate(frame)
-    assert info.value.rank == 0
+    assert rank(synthesis_operator(frame) if in_tau else analysis_operator(frame)) == 0
+    for entry in (validate, canonical_dual, parsevalize,
+                  lambda f: frames._parseval(f, DEFAULT_TOL)):
+        with pytest.raises(NotAFrame) as info:
+            entry(frame)
+        assert info.value.rank == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="generic-p brackets hold only up to rounding (ROADMAP item 1)")
+def test_validate_brackets_contain_the_bounds_of_a_scaled_identity():
+    # f = I and tau = c I give S = c I exactly, so a = b = c; yet at c = 3 on
+    # l^3_3 the brackets are [2.9999999999999996] and [3.0000000000000004]:
+    # the ascent's rounding lifts ||S||, and S^-1 is LU's inverse, not (c I)^-1
+    for p in (1.5, 3.0):
+        for c in (3.0, 5.0, 7.0, 10.0, 0.3):
+            report = validate(scaled_frame(3, c, p=p))
+            assert report.lower_bound.contains(c) and report.upper_bound.contains(c), (p, c)
 
 
 def test_parseval_brackets_contain_one_within_dim_tol():

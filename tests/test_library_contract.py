@@ -386,7 +386,7 @@ def item8_frame():
                      np.ldexp(1.0, np.array([[-177, -655, 630]])))
 
 
-def test_a_frame_is_similar_to_its_parseval_frame_whose_exchange_is_held_back():
+def test_a_frame_is_similar_to_its_parseval_frame_through_a_witness_near_2_to_the_minus_900():
     # the witness pairs the frame's S^-1 tau, near 2^-270, with the Parseval
     # frame's own g, near 2^-630: their product, near 2^-900, is in range
     frame = item8_frame()
