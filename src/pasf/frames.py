@@ -40,7 +40,6 @@ from .spaces import (
     _rank,
     _require_rank,
     _sealed,
-    compose,
     invert_with_rcond,
     operator_norm,
 )
@@ -126,15 +125,13 @@ def synthesis_operator(frame: FramePair) -> LinearMap:
 
 
 def frame_operator(frame: FramePair) -> LinearMap:
-    """S = theta_tau . theta_f, the d x d map x |-> sum f_k(x) tau_k."""
-    return compose(synthesis_operator(frame), analysis_operator(frame))
+    """S = theta_tau . theta_f, the map x |-> sum f_k(x) tau_k, formed silently by ``_product``."""
+    return LinearMap(frame.x_space, frame.x_space, _product(frame.vectors, frame.functionals))
 
 
 def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float]:
+    s = frame_operator(frame)  # past the double range, or not finite, S has rank 0
     try:
-        # an S past the double range, or formed from a non-finite entry, has rank 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = frame_operator(frame)
         s_inv, rcond = invert_with_rcond(s, tol)
     except Singular as exc:
         raise NotAFrame(
@@ -223,8 +220,7 @@ def _parseval(frame: FramePair, tol: float) -> bool:
 
     if _held(frame, tol) is None:
         # an S past the double range or not finite fails here, and again where S^-1 forms it
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = frame.vectors @ frame.functionals
+        s = frame_operator(frame).entries
         if is_identity(s) and _certified(s, tol, eye):
             return True
     return is_identity(_canonical(frame, tol).s.entries)

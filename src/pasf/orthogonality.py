@@ -26,7 +26,7 @@ from .errors import (
     NotParseval,
 )
 from .duality import _require_same_spaces
-from .frames import FramePair, _canonical, _parseval
+from .frames import FramePair, _canonical, _parseval, frame_operator
 from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees, identity
 
 
@@ -46,8 +46,10 @@ class InterpolationOperators:
 
 def is_orthogonal(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Operator criterion: theta_tau theta_g and theta_omega theta_f both
-    vanish, each with the rounding on its factors (see ``_product_agrees``)."""
+    vanish, each with the rounding on its factors (see ``_product_agrees``). A target of 0 has
+    no scale, so both are held to tol × min(1, max|S|) over the two frames' frame operators S."""
     _require_same_spaces(frame1, frame2)
+    tol *= min(1.0, max(_absmax(frame_operator(frame).entries) for frame in (frame1, frame2)))
     return (
         _product_agrees(frame1.vectors, frame2.functionals, 0.0, tol)
         and _product_agrees(frame2.vectors, frame1.functionals, 0.0, tol)

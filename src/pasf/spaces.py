@@ -454,9 +454,9 @@ def _product_agrees(a: np.ndarray, b: np.ndarray, target: np.ndarray | float, to
 
 
 def _residual(a: np.ndarray, b: np.ndarray, target: np.ndarray | float) -> float:
-    """max|a @ b - target|, formed silently: past the double range it is inf or NaN and fails."""
+    """max|a @ b - target|, a @ b by ``_product``: past the double range it is inf or NaN and fails."""
+    product = _product(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        product = a @ b
         product -= target
     return _absmax(product)
 

@@ -149,3 +149,21 @@ def beyond_range_dual_frame() -> FramePair:
 
     frame = random_frame(3, 5, 2.0, seed=1)
     return make_frame(frame.functionals * 1e-315, frame.vectors * 1e300)
+
+
+def overflowing_terms_frame(mirrored: bool = False) -> FramePair:
+    """A valid frame (rcond 2.4e-7) whose products hold terms past the double
+    range though the products themselves are in range. f = 2^100 M with
+    M = [[1, 1], [1, 1 + 2^-20]] and tau = 2^-1010 I, so S = 2^-910 M and
+    f S^-1 = 2^1010 I, whose terms are near 2^1030. Mirrored, f = 2^-1010 I
+    and tau = 2^100 M^T, so S^-1 tau = 2^1010 I."""
+    m = np.ldexp(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-20]]), 100)
+    tiny = np.ldexp(np.eye(2), -1010)
+    return make_frame(tiny, m.T) if mirrored else make_frame(m, tiny)
+
+
+def overflowing_s_frame() -> FramePair:
+    """A valid frame (rcond 1) on l^2_1 whose S = 2^1010 is in range though
+    its two terms, near 2^1040, are not: f = 2^520 [1, -(1 - 2^-30)]^T and
+    tau = 2^520 [1, 1], so P = 2^30 [[1, 1], [-(1 - 2^-30), -(1 - 2^-30)]]."""
+    return make_frame(np.ldexp([[1.0], [-(1.0 - 2.0**-30)]], 520), np.ldexp([[1.0, 1.0]], 520))

@@ -4,11 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from pasf import load_frame, random_frame, save_frame, is_dual, frame_operator
+from pasf import load_frame, parsevalize, random_frame, save_frame, is_dual, frame_operator
 from pasf.cli import main
 
 from helpers import (
-    beyond_range_dual_frame, block_orthogonal_pair, count_witnesses, make_frame, scaled_frame, standard_frame,
+    beyond_range_dual_frame, block_orthogonal_pair, count_witnesses, make_frame, overflowing_s_frame,
+    overflowing_terms_frame, scaled_frame, standard_frame,
 )
 
 
@@ -480,6 +481,22 @@ def test_frame_operator_with_inverse_beyond_double_range_is_not_a_frame(tmp_path
     code, out, _ = run(capsys, "canonical-dual", str(path), "--json")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "NotAFrame"
+
+
+@pytest.mark.filterwarnings("error")
+def test_frames_whose_product_terms_overflow_get_their_verdicts(tmp_path, capsys):
+    # each product below is in range though its terms are not: S = 2^1010 for the first
+    # frame, and the transport f1 T_fg = 2^1010 I from the second to its Parseval frame
+    paths = {}
+    for name, frame in (("s", overflowing_s_frame()), ("f", overflowing_terms_frame()),
+                        ("parseval", parsevalize(overflowing_terms_frame())[0])):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_frame(frame, paths[name])
+    for expected, argv in ((0, ["validate", paths["s"]]), (0, ["similarity", paths["f"], paths["parseval"]]),
+                           (2, ["check-orthogonal", paths["f"], paths["f"]])):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (expected, ""), argv
+        assert "error" not in json.loads(out)
 
 
 @pytest.mark.filterwarnings("error")

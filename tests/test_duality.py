@@ -27,7 +27,7 @@ from pasf import (
 )
 from pasf import frames, spaces
 
-from helpers import make_frame, maxdiff, scaled_frame, standard_frame, tall_frame
+from helpers import make_frame, maxdiff, overflowing_terms_frame, scaled_frame, standard_frame, tall_frame
 
 
 def umap(frame, entries):
@@ -63,6 +63,12 @@ def test_canonical_dual_involution():
         back = canonical_dual(canonical_dual(frame))
         assert maxdiff(back.functionals, frame.functionals) <= 1e-10
         assert maxdiff(back.vectors, frame.vectors) <= 1e-10
+
+
+def test_canonical_dual_whose_terms_overflow_is_formed_in_range():
+    # f S^-1 = 2^1010 I, though its terms are near 2^1030
+    dual = canonical_dual(overflowing_terms_frame())
+    assert dual.functionals.tolist() == np.ldexp(np.eye(2), 1010).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +232,28 @@ def test_large_parameter_duals_pass_the_gate_cross_check(seed):
     v = vmap(frame, rng.matrix(16, 16, 100.0))
     cand = dual_from_parameters(frame, u, v)
     assert is_dual(frame, cand.frame)
+
+
+def test_a_dual_of_large_parameters_is_a_dual_within_its_rounding():
+    # g = f S^-1 + (I - P) U with max|U| near 1e5: tau g = I holds in exact arithmetic,
+    # and misses tol only by the rounding on |tau| |g|, which the criterion allows
+    frame = random_frame(8, 16, 2.0, seed=3)
+    u = umap(frame, PortableRng(1).matrix(16, 8, 1e5))
+    cand = dual_from_parameters(frame, u, vmap(frame, np.zeros((8, 16))))
+    assert is_dual(frame, cand.frame)
+
+
+def test_gate_cross_check_catches_a_drift_of_1e_minus_8(monkeypatch):
+    # I - P moved by 1e-8 relative moves omega g off the gate S^-1 + V (I - P) U by
+    # 1e-8 of V (I - P) U, which dominates the gate at parameters of scale 100
+    product = vars(frames._Canonical)["complement"]
+    real = product.func
+    monkeypatch.setattr(product, "func", lambda record: real(record) * (1.0 + 1e-8))
+    frame = random_frame(4, 6, 3.0, seed=3)
+    rng = PortableRng(1)
+    u, v = umap(frame, rng.matrix(6, 4, 100.0)), vmap(frame, rng.matrix(4, 6, 100.0))
+    with pytest.raises(ConsistencyError, match="gate operator and candidate frame operator"):
+        dual_from_parameters(frame, u, v)
 
 
 def test_gate_cross_check_fails_closed_on_a_wrong_projection(monkeypatch):

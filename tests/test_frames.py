@@ -61,6 +61,7 @@ from pasf import frames, spaces
 from helpers import (
     make_frame,
     maxdiff,
+    overflowing_s_frame,
     rank_one_frame_operator,
     scaled_frame,
     standard_frame,
@@ -122,6 +123,12 @@ def test_frame_operator_splits_as_rank_one_sum():
         assert maxdiff(frame_operator(frame).entries, split) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_frame_operator_whose_terms_overflow_is_formed_in_range():
+    # S = 2^1040 (1 - (1 - 2^-30)) = 2^1010: its two terms leave the double range, S does not
+    assert frame_operator(overflowing_s_frame()).entries.tolist() == [[2.0**1010]]
+
+
 def test_frame_pair_shape_checks():
     with pytest.raises(DimensionMismatch):
         FramePair(
@@ -180,6 +187,24 @@ def test_validate_parseval_case():
     assert report.upper_bound.value == pytest.approx(1.0)
 
 
+def test_validate_scales_parseval_by_s():
+    # max|S - I| = 0.3 is past tol = 0.25, but not past tol max|S| = 0.325
+    assert validate(scaled_frame(2, 1.3), tol=0.25).parseval
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_frame_whose_s_terms_overflow_is_valid():
+    # S = 2^1010 exactly, with rcond 1, though its terms are near 2^1040
+    assert frames._parseval(overflowing_s_frame(), DEFAULT_TOL) is False
+    frame = overflowing_s_frame()
+    report = validate(frame)
+    assert report.frame_op.entries.tolist() == [[2.0**1010]]
+    assert report.rcond == 1.0 and not report.parseval
+    top = 1.0 - 2.0**-30
+    assert projection(frame).entries.tolist() == np.ldexp([[1.0, 1.0], [-top, -top]], 30).tolist()
+    assert are_similar(frame, frame)
+
+
 def test_validate_rank_deficient():
     frame = make_frame([[1, 0], [1, 0]], [[1, 1], [0, 0]])
     with pytest.raises(NotAFrame) as info:
@@ -194,8 +219,7 @@ def test_validate_rejects_non_finite_entries(bad, in_tau):
     # a non-finite entry must never pass a rank check, nor warn on its way to NotAFrame
     entries = np.array([[1, 0], [0, bad]])
     frame = make_frame(np.eye(2), entries) if in_tau else make_frame(entries, np.eye(2))
-    with np.errstate(invalid="ignore"):  # T F forms 0 * inf here, which numpy warns about
-        assert rank(frame_operator(frame)) == 0
+    assert rank(frame_operator(frame)) == 0
     assert rank(synthesis_operator(frame) if in_tau else analysis_operator(frame)) == 0
     for entry in (validate, canonical_dual, parsevalize,
                   lambda f: frames._parseval(f, DEFAULT_TOL)):

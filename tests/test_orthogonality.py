@@ -26,7 +26,7 @@ from pasf import (
 from pasf import frames
 from pasf.generators import PortableRng
 
-from helpers import block_orthogonal_pair, make_frame, maxdiff, standard_frame
+from helpers import block_orthogonal_pair, make_frame, maxdiff, overflowing_terms_frame, standard_frame
 
 
 def ops_from(frame, a, b, c, d):
@@ -67,18 +67,18 @@ def frame_times(frame, f_scale, tau_scale):
     return make_frame(f_scale * frame.functionals, tau_scale * frame.vectors)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a criterion whose target is 0 is held to absolute tol (ROADMAP item 11)")
 @pytest.mark.parametrize("frame", [
     pytest.param(frame_times(standard_frame(2), 1e-5, 1e-5), id="1e-5-I"),
     pytest.param(frame_times(standard_frame(2), 2.0**-15, 2.0**-15), id="2^-15-I"),
     pytest.param(frame_times(standard_frame(2), 2.0**-20, 2.0**-20), id="2^-20-I"),
     # the extreme-scale frame CI runs the CLI on: S is near 2^-706
     pytest.param(frame_times(random_frame(3, 5, seed=24), 2.0**318, 2.0**-1024), id="seed24-f2^318-tau2^-1024"),
+    # S = 2^-910 [[1, 1], [1, 1 + 2^-20]], whose canonical dual's terms overflow
+    pytest.param(overflowing_terms_frame(), id="2^100M-2^-1010I"),
 ])
 def test_a_valid_frame_of_small_s_is_not_orthogonal_to_itself(frame):
-    # validate raises NotAFrame unless S = tau f is invertible, so tau f is not 0;
-    # but every entry of S is within tol of 0, and the criterion reads it as 0
+    # validate raises NotAFrame unless S = tau f is invertible, so tau f is not 0; every
+    # entry of S is within tol of 0, but the criterion is held to tol times max|S|
     validate(frame)
     assert not is_orthogonal(frame, frame)
 
@@ -156,6 +156,17 @@ def test_contract_is_scaled_by_its_target_not_its_summands():
     with pytest.raises(ContractViolated) as info:
         interpolate(frame1, frame2, ops_from(frame1, eye, (big - 20.0) * eye, big * eye, -eye))
     assert info.value.residual == pytest.approx(19.0)
+
+
+def test_an_exact_contract_passes_within_the_rounding_on_its_summands():
+    # c a + d b = (2^60 - 1) - 2 (2^59 - 1) = 1 exactly, with 2^59 - 1 = 179951 x 3203431780337;
+    # each product rounds to 2^60, so the computed residual is 1, inside the rounding on 2^61
+    frame1, frame2 = block_orthogonal_pair()
+    a, b, c, d = 2.0**30 - 1.0, -2.0 * 3203431780337, 2.0**30 + 1.0, 179951.0
+    eye = np.eye(2)
+    out = interpolate(frame1, frame2, ops_from(frame1, a * eye, b * eye, c * eye, d * eye))
+    assert maxdiff(out.functionals, frame1.functionals * a + frame2.functionals * b) == 0.0
+    scalar_interpolate(frame1, frame2, a, b, c, d)
 
 
 @pytest.mark.parametrize("scalars", [(np.nan, 0.0, 1.0, 0.0), (1.0, 0.0, np.nan, 0.0), (np.inf, 0.0, 1.0, 0.0)])

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pasf import (
     parameters_from_dual,
     parseval_transfer_check,
     parsevalize,
+    projection,
     random_dual,
     random_frame,
     validate,
@@ -30,7 +32,9 @@ from pasf import (
 from pasf import similarity
 from pasf.generators import PortableRng
 
-from helpers import count_witnesses, make_frame, maxdiff, scaled_frame, standard_frame, tall_frame
+from helpers import (
+    count_witnesses, make_frame, maxdiff, overflowing_terms_frame, scaled_frame, standard_frame, tall_frame,
+)
 
 
 def witness(frame, a, b):
@@ -334,6 +338,45 @@ def test_witness_transport_drift_raises_consistency_error(monkeypatch):
     frame = random_frame(4, 6, p=3.0, seed=3)
     with pytest.raises(ConsistencyError, match="witness transport drifts"):
         are_similar(frame, parsevalize(frame)[0])
+
+
+def test_a_transport_is_held_to_n_times_the_projections_difference(monkeypatch):
+    # P1 and P2 differ by diff = 5.6e-10, within tol, so each transport may drift by
+    # n diff = 1.7e-9 relative to max|f2| = 2.8. A witness moved by 5e-9 relative drifts
+    # by about 5e-9 relative, which that limit catches though 10 n diff would admit it
+    base = random_frame(2, 3, seed=1)
+    parseval = parsevalize(base)[0]
+    functionals = parseval.functionals.copy()
+    functionals[0, 0] *= 1.0 + 6e-10
+    frame2 = replace(parseval, functionals=functionals)
+    diff = maxdiff(projection(base).entries, projection(frame2).entries)
+    assert 1e-9 / 3 < diff < 1e-9
+    assert are_similar(base, frame2) is True
+    real = similarity.witness_from_frames
+
+    def moved(frame1, frame2, tol):
+        w = real(frame1, frame2, tol)
+        return replace(w, t_fg=replace(w.t_fg, entries=w.t_fg.entries * (1.0 + 5e-9)))
+
+    monkeypatch.setattr(similarity, "witness_from_frames", moved)
+    with pytest.raises(ConsistencyError, match="transport"):
+        are_similar(base, frame2)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_a_frame_whose_transport_terms_overflow_is_similar_to_its_parseval_frame(mirrored):
+    # f1 T_fg = f2 holds 2^1010 I, in range, but its terms are near 2^1030: the
+    # criterion residual forms the product as S and the duals are formed, by _product
+    frame = overflowing_terms_frame(mirrored)
+    first, second = parsevalize(frame)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert are_similar(frame, second if mirrored else first) is True
+        assert are_similar(frame, first if mirrored else second) is True
+        if mirrored:
+            assert parseval_transfer_check(first, second) is True
+        else:
+            assert parseval_transfer_check(second, first) is True
 
 
 def two_scaled(seed, kf, kt):

@@ -99,6 +99,11 @@ def test_sup_norm_of_signed_zeros_is_positive_zero():
         assert math.copysign(1.0, vector_norm(PNormSpace(len(coords), INF), vec(coords, INF))) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_vector_norm_of_an_infinite_entry_is_inf():
+    assert vector_norm(PNormSpace(2, 3.0), vec([INF, 1.0], 3.0)) == INF
+
+
 def test_vector_norm_rejects_wrong_space():
     with pytest.raises(DimensionMismatch):
         vector_norm(PNormSpace(2, 1.0), vec([3, -4], 2.0))
@@ -404,6 +409,13 @@ def test_invert_hand_elimination_example():
 def test_invert_singular_carries_rank():
     with pytest.raises(Singular) as info:
         invert(lmap([[1, 1], [1, 1]]))
+    assert info.value.rank == 1
+
+
+def test_invert_below_double_precision_reports_the_rank_numpy_finds():
+    # at tol = 1e-300 the rank test counts rounding as rank; LU then meets a zero pivot
+    with pytest.raises(Singular) as info:
+        invert(lmap(np.ones((3, 3))), tol=1e-300)
     assert info.value.rank == 1
 
 
