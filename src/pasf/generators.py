@@ -206,14 +206,9 @@ def random_orthogonal_parseval_pair(
 
     def block_frame(offset: int) -> FramePair:
         functionals = np.zeros((n, d))
-        vectors = np.zeros((d, n))
-        for k in range(d):
-            slot = int(perm[offset + k])
-            functionals[slot, k] = 1.0
-            vectors[k, slot] = 1.0
-        return FramePair(
-            x_space=x_space, seq_space=seq_space, functionals=functionals, vectors=vectors
-        )
+        functionals[perm[offset:offset + d], np.arange(d)] = 1.0
+        # vectors as a C-ordered copy: FramePair would keep the transposed view in F order
+        return FramePair(x_space, seq_space, functionals, functionals.T.copy())
 
     return block_frame(0), block_frame(d)
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _parseval, frame_operator
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees, identity
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,12 @@ def scalar_interpolate(
     d: float,
     tol: float = DEFAULT_TOL,
 ) -> FramePair:
-    """Scalar stitching (a f_k + b g_k, c tau_k + d omega_k) with c a + d b = 1,
-    with the rounding on |c a| + |d b| as in :func:`interpolate`'s contract."""
-    residual = abs(c * a + d * b - 1.0)
-    if not _agrees(residual, tol, 1.0, lambda: abs(c * a) + abs(d * b), 2):
-        raise ContractViolated(f"c*a + d*b = {c * a + d * b!r} is not 1", residual=residual)
-    eye = identity(frame1.x_space)
-
-    def scaled(s: float) -> LinearMap:
-        return LinearMap(domain=eye.domain, codomain=eye.codomain, entries=s * eye.entries)
-
-    ops = InterpolationOperators(a_op=scaled(a), b_op=scaled(b), c_op=scaled(c), d_op=scaled(d))
-    return interpolate(frame1, frame2, ops, tol)
+    """Scalar stitching (a f_k + b g_k, c tau_k + d omega_k) with c a + d b = 1:
+    exactly :func:`interpolate` on a I, b I, c I and d I, so its preconditions,
+    their order and its one contract check are :func:`interpolate`'s."""
+    space = frame1.x_space
+    a_op, b_op, c_op, d_op = (LinearMap(space, space, np.diag(np.full(space.dim, s))) for s in (a, b, c, d))
+    return interpolate(frame1, frame2, InterpolationOperators(a_op, b_op, c_op, d_op), tol)
 
 
 def mixed_pair_degeneracy_check(
@@ -125,8 +119,9 @@ def mixed_pair_degeneracy_check(
     For orthogonal (f, tau) and (g, omega), the cross pairs (f, omega)
     and (g, tau) have frame operators theta_omega theta_f = 0 and
     theta_tau theta_g = 0, so both must fail validation. Returns the two
-    failure flags (True means the mixed pair is degenerate, as it must
-    be).
+    failure flags (True means the mixed pair is degenerate). A pair orthogonal
+    only to within tol can have a mixed pair that validates: orthogonality is
+    held at the frames' scale, a mixed pair's rank at the scale of its own S.
     """
     if not is_orthogonal(frame1, frame2, tol):
         raise NotOrthogonal("frames are not orthogonal")

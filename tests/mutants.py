@@ -1,4 +1,4 @@
-"""A mutation gate for the criterion, certificate, bracket and product rules.
+"""A mutation gate for the criterion, certificate, bracket, product and retry rules.
 
 Each entry of ``MUTANTS`` is one exact text replacement in one file of
 ``src/pasf``; its old text must occur there exactly once. For each, the
@@ -52,6 +52,8 @@ MUTANTS = [
            "interpolate's contract with its rounding summands at 0", "killed"),
     Mutant("frames.py", "_agrees(_absmax(s - eye), tol, _absmax(s))", "_agrees(_absmax(s - eye), tol, 1.0)",
            "_parseval scaled by 1, not by max|S|", "killed"),
+    Mutant("orthogonality.py", "np.diag(np.full(space.dim, s))", "s * np.eye(space.dim)",
+           "scalar_interpolate forming s I as s * I, which forms inf * 0 for an inf scalar", "killed"),
     Mutant("orthogonality.py", "    tol *= min(1.0, max(", "    tol *= max(1.0, max(",
            "is_orthogonal held to tol max(1, max|S|), absolute tol for small S", "killed"),
     Mutant("similarity.py", "agreement = max(tol, frame1.count * diff)", "agreement = tol",
@@ -82,6 +84,9 @@ MUTANTS = [
     Mutant("spaces.py", "bound >= 2.0 * threshold", "bound >= 1.0 * threshold",
            "_certified's margin at 1 threshold; no test holds a map at it, which waits on an exact "
            "referee for rank (ROADMAP item 5)", "open"),
+    # generation
+    Mutant("generators.py", "        except GateSingular:\n            continue", "        except GateSingular:\n            raise",
+           "random_dual giving up on its first singular gate", "killed"),
     # norms and brackets
     Mutant("spaces.py", "moving = m * root > cx * my * sy * (1.0 + 1e-12)", "moving = m * root > cx * my * sy * (1.0 + 1e-6)",
            "the ascent stopping at 1e-6, not 1e-12", "killed"),

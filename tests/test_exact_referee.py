@@ -11,7 +11,8 @@ matrices' true residual, and the verdict is asserted wherever that
 residual lies outside the band [tol/4, 4 tol]: True below it, False
 above it. Inside the band rounding may decide either way. The same band
 holds interpolation's contract C A + D B = I, exact at A = B = I and
-C = D = I/2 before C moves by eps D, and validate's rank verdicts on
+C = D = I/2 before C moves by eps D, and in its scalar form at
+(a, b, c, d) = (1, 1, 1/2 + eps, 1/2), and validate's rank verdicts on
 f = H_1 D and tau = D^-1 H_1^T / n, whose singular values are exact
 for a diagonal D in powers of two.
 
@@ -39,6 +40,7 @@ from pasf import (
     interpolate,
     is_dual,
     is_orthogonal,
+    scalar_interpolate,
     validate,
 )
 from pasf.frames import _parseval
@@ -182,6 +184,17 @@ def test_interpolation_contract_against_exact_residuals(d, n, eps):
     space = first.x_space
     try:
         interpolate(first, second, InterpolationOperators(*(LinearMap(space, space, m) for m in (a, b, c, dd))))
+    except ContractViolated:
+        holds = False
+    else:
+        holds = True
+    assert_verdict(holds, found, eps)
+    # the scalar form (a, b, c, d) = (1, 1, 1/2 + eps, 1/2), judged by the same contract on
+    # scaled identities; its exact residual is that of the stored c
+    c_scalar = 0.5 + eps
+    found = float(abs(Fraction(c_scalar) - Fraction(1, 2)))
+    try:
+        scalar_interpolate(first, second, 1.0, 1.0, c_scalar, 0.5)
     except ContractViolated:
         holds = False
     else:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pasf import (
+    GateSingular,
     GenerationFailed,
     InsufficientCoordinates,
+    NotAFrame,
     PasfError,
     canonical_dual,
     dual_from_parameters,
@@ -18,6 +20,7 @@ from pasf import (
     reconstruction_oracle,
     validate,
 )
+from pasf import generators
 from pasf.generators import PortableRng
 
 from helpers import beyond_range_dual_frame, block_orthogonal_pair, make_frame, maxdiff
@@ -128,6 +131,25 @@ def test_random_frame_rcond_floor_above_one_fails():
         random_frame(2, 3, min_rcond=2.0)
 
 
+def test_random_frame_redraws_after_a_draw_that_is_not_a_frame(monkeypatch):
+    # the first draw is reported as not a frame, so the frame returned is the second draw
+    real, calls = generators._canonical, []
+
+    def first_fails(frame, tol):
+        calls.append(frame)
+        if len(calls) == 1:
+            raise NotAFrame("first draw", rank=0)
+        return real(frame, tol)
+
+    monkeypatch.setattr(generators, "_canonical", first_fails)
+    frame = random_frame(2, 4, seed=5)
+    rng = PortableRng(5)
+    rng.matrix(4, 2), rng.matrix(2, 4)
+    assert len(calls) == 2
+    assert np.array_equal(frame.functionals, rng.matrix(4, 2))
+    assert np.array_equal(frame.vectors, rng.matrix(2, 4))
+
+
 def test_random_frame_exponents_are_configurable():
     frame = random_frame(2, 4, p=1.5, q=3.0, seed=1)
     assert frame.seq_space.p == 1.5
@@ -201,6 +223,36 @@ def test_random_dual_draws_at_one_over_nd_for_a_frame_in_the_unit_band():
         assert 0.5 <= float(np.abs(m).max()) < 1.0
     cand = random_dual(frame, 5)
     assert np.array_equal(cand.u_param.entries, PortableRng(5).matrix(6, 4, 1.0 / 24))
+
+
+def test_random_dual_redraws_after_a_singular_gate(monkeypatch):
+    # the first gate is reported singular, so the dual returned is built from the second draw of (U, V)
+    real, calls = generators.dual_from_parameters, []
+
+    def first_singular(frame, u, v):
+        calls.append(u.entries)
+        if len(calls) == 1:
+            raise GateSingular("first gate", rank=1)
+        return real(frame, u, v)
+
+    monkeypatch.setattr(generators, "dual_from_parameters", first_singular)
+    cand = random_dual(random_frame(2, 4, seed=1), seed=3)
+    assert len(calls) == 2
+    assert np.array_equal(cand.u_param.entries, calls[1])
+    assert not np.array_equal(calls[0], calls[1])
+
+
+def test_random_dual_gives_up_when_every_gate_is_singular(monkeypatch):
+    calls = []
+
+    def singular(frame, u, v):
+        calls.append(u)
+        raise GateSingular("singular gate", rank=1)
+
+    monkeypatch.setattr(generators, "dual_from_parameters", singular)
+    with pytest.raises(GenerationFailed, match="no invertible gate"):
+        random_dual(random_frame(2, 4, seed=1), seed=3)
+    assert len(calls) == generators._MAX_REJECTS
 
 
 def test_random_dual_determinism():

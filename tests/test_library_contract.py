@@ -458,6 +458,19 @@ def test_an_item9_frame_is_similar_to_its_parseval_frame(spec):
     assert are_similar(frame, parsevalize(frame)[0]) is True
 
 
+@pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                   reason="ROADMAP item 15: a rounding allowance past the double range bounds nothing")
+def test_a_frame_whose_transport_allowance_overflows_is_similar_to_its_parseval_frame():
+    # f 2^598 is b's first row repeated plus 2^-20 b.f, and tau is 2^-1008 b.tau; valid at
+    # rcond 1.45e-7. The transport drifts by 3.7e294, inside its limit, but the allowance
+    # |f1| |T_fg| overflows. Its second Parseval frame is not pinned: there P differs by
+    # 1e-4, the eps cond^2 floor of an S this ill-conditioned.
+    b = random_frame(2, 3, 1.5, seed=8)
+    functionals = np.ldexp(np.tile(b.functionals[0], (3, 1)) + np.ldexp(b.functionals, -20), 598)
+    frame = FramePair(b.x_space, b.seq_space, functionals, np.ldexp(b.vectors, -1008))
+    assert are_similar(frame, parsevalize(frame)[0]) is True
+
+
 # ---------------------------------------------------------------------------
 # NaN never yields True; the memo answers as a fresh frame does
 

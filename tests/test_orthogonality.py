@@ -176,6 +176,24 @@ def test_scalar_contract_rejects_non_finite(scalars):
         scalar_interpolate(frame1, frame2, *scalars)
 
 
+def test_scalar_interpolate_checks_the_frames_before_its_contract():
+    # scalar_interpolate is interpolate on scaled identities, whose frame checks come first
+    frame1, frame2 = block_orthogonal_pair()
+    bad = make_frame(frame1.functionals, 2.0 * frame1.vectors)
+    with pytest.raises(NotParseval):
+        scalar_interpolate(bad, frame2, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(NotOrthogonal):
+        scalar_interpolate(frame1, frame1, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_an_infinite_scalar_reports_the_operator_residual_nan():
+    # inf I times I forms inf * 0 = NaN off the diagonal, under the contract's errstate
+    frame1, frame2 = block_orthogonal_pair()
+    with pytest.raises(ContractViolated, match="deviates from the identity by nan") as info:
+        scalar_interpolate(frame1, frame2, np.inf, 0.0, 1.0, 0.0)
+    assert np.isnan(info.value.residual)
+
+
 def test_operator_contract_violation_reports_residual():
     frame1, frame2 = block_orthogonal_pair()
     eye = np.eye(2)
@@ -277,6 +295,17 @@ def test_mixed_pairs_always_fail_validation():
     for seed in range(20):
         a, b = random_orthogonal_parseval_pair(2, 6, seed=seed)
         assert mixed_pair_degeneracy_check(a, b) == (True, True)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="orthogonality is held at the frames' scale, a mixed pair's rank at its own S's")
+def test_the_mixed_pairs_of_a_pair_orthogonal_within_tol_are_degenerate():
+    # both frames are Parseval and tau_1 g = 1e-12 I is within tol of 0, yet the
+    # mixed pair (g, tau_1) has S = 1e-12 I, which validates with rcond 1
+    frame1 = make_frame([[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]])
+    frame2 = make_frame([[1e-12, 0], [0, 1e-12], [1, 0], [0, 1]], [[0, 0, 1, 0], [0, 0, 0, 1]])
+    assert is_orthogonal(frame1, frame2)
+    assert mixed_pair_degeneracy_check(frame1, frame2) == (True, True)
 
 
 def test_mixed_pair_check_rejects_non_orthogonal_input():

@@ -224,6 +224,17 @@ def test_parseval_transfer_requires_parseval_first():
         parseval_transfer_check(scaled_frame(2, 2.0), standard_frame(2))
 
 
+def test_parseval_transfer_reports_a_direct_test_that_contradicts_its_witness_routes(monkeypatch):
+    # the witness products of (I, 2 I) give S = 2 I, not Parseval; a direct test that reads
+    # Parseval disagrees with both routes, which the check reports as the knife edge
+    frame = standard_frame(2)
+    doubled = make_frame(frame.functionals, 2.0 * frame.vectors)
+    real = similarity._parseval
+    monkeypatch.setattr(similarity, "_parseval", lambda f, tol: f is doubled or real(f, tol))
+    with pytest.raises(ConsistencyError, match="knife edge"):
+        parseval_transfer_check(frame, doubled)
+
+
 def test_parseval_transfer_requires_similarity():
     frame1 = make_frame([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]])
     frame2 = make_frame([[1, 0], [0, 1], [1, 1]], [[1, 0, 1], [0, 1, 1]])
