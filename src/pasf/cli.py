@@ -275,7 +275,7 @@ def _cmd_factorize(args, tol: float, report: Report, frame) -> int:
             "v": report.matrices["v"],
         }
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
+            fh.write(json.dumps(doc, allow_nan=False))
             fh.write("\n")
         report.verdict = f"factorization written to {args.out}"
     return EXIT_OK

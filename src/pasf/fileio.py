@@ -1,6 +1,6 @@
 """The frame file format: strict JSON serialization of frame pairs.
 
-A frame file is a single UTF-8 JSON object::
+A frame file is a single UTF-8 JSON object, laid out here for reading::
 
     {
       "dim": 2,
@@ -15,9 +15,9 @@ A frame file is a single UTF-8 JSON object::
 ``vectors`` also holds ``count`` rows of length ``dim``, each row being
 the vector tau_k, which is transposed into the d x n column layout on
 load. Parsing is strict: unknown keys, missing keys, malformed shapes,
-non-finite numbers, and JSON's Infinity/NaN tokens are all rejected.
-Floats are written with ``repr`` so a written file re-parses to a
-bit-identical frame.
+non-finite numbers, and JSON's Infinity/NaN tokens are all rejected;
+any JSON whitespace is accepted. The library writes the object on one
+line, floats by ``repr``, so a written file re-parses bit-identically.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def dumps_frame(frame: FramePair) -> str:
     """Serialize a frame to JSON text; no frame file holds a non-finite entry."""
     if not (np.isfinite(frame.functionals).all() and np.isfinite(frame.vectors).all()):
         raise FrameFormatError("a frame with non-finite entries cannot be written as a frame file")
-    return json.dumps(frame_to_dict(frame), indent=2, allow_nan=False)
+    return json.dumps(frame_to_dict(frame), allow_nan=False)
 
 
 def load_frame(path) -> FramePair:

@@ -262,6 +262,26 @@ def test_factorize_writes_matrices(files, tmp_path, capsys):
     assert doc["v"] == [[2.0, 0.0], [0.0, 2.0]]
 
 
+def test_writers_at_benchmark_size_reload_exactly(tmp_path, capsys):
+    frame = random_frame(64, 64, 3.0, seed=1)
+    frame_path = str(tmp_path / "frame.json")
+    save_frame(frame, frame_path)
+    out_path = tmp_path / "fact.json"
+    code, _, _ = run(capsys, "factorize", frame_path, "--out", str(out_path), "--json")
+    assert code == 0
+    text = out_path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    assert np.array_equal(np.array(doc["u"]), frame.functionals)
+    assert np.array_equal(np.array(doc["v"]), frame.vectors)
+    out_dir = tmp_path / "duals"
+    code, _, _ = run(capsys, "sample-duals", frame_path, "--count", "3", "--out-dir", str(out_dir), "--json")
+    assert code == 0
+    assert sorted(path.name for path in out_dir.iterdir()) == [f"dual_{i:03d}.json" for i in range(3)]
+    for path in out_dir.iterdir():
+        assert is_dual(frame, load_frame(path))
+
+
 def test_factorize_invalid_frame_exits_2(files, capsys):
     code, _, _ = run(capsys, "factorize", files["rankdef"])
     assert code == 2

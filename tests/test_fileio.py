@@ -156,3 +156,23 @@ def test_written_file_is_valid_strict_json(tmp_path):
     save_frame(frame, path)
     raw = json.loads(path.read_text())
     assert set(raw) == {"dim", "count", "p", "q", "functionals", "vectors"}
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        random_frame(64, 64, 3.0, seed=1),
+        make_frame([[2.0**1000, -0.0], [5e-324, 2.0**-1000]], [[-2.0**-1000, 5e-324], [-0.0, -2.0**1000]]),
+    ],
+    ids=["64x64", "extremes"],
+)
+def test_written_file_is_one_line_and_reloads_bit_identically(frame, tmp_path):
+    path = tmp_path / "f.json"
+    save_frame(frame, path)
+    text = path.read_text(encoding="utf-8")
+    # the whole object on one line: no indent, which would route every float through the slow encoder
+    assert text.endswith("\n") and text.count("\n") == 1
+    back = load_frame(path)
+    for written, read in [(frame.functionals, back.functionals), (frame.vectors, back.vectors)]:
+        assert np.array_equal(read, written)
+        assert np.array_equal(np.signbit(read), np.signbit(written))
