@@ -13,11 +13,13 @@ A frame file is a single UTF-8 JSON object, laid out here for reading::
 
 ``functionals`` holds ``count`` rows of length ``dim`` (row k is f_k);
 ``vectors`` also holds ``count`` rows of length ``dim``, each row being
-the vector tau_k, which is transposed into the d x n column layout on
-load. Parsing is strict: unknown keys, missing keys, malformed shapes,
-non-finite numbers, and JSON's Infinity/NaN tokens are all rejected;
-any JSON whitespace is accepted. The library writes the object on one
-line, floats by ``repr``, so a written file re-parses bit-identically.
+the vector tau_k. Each checked list of rows becomes one float64 array,
+the vectors' passed transposed into the d x n column layout, which
+:class:`FramePair` stores C-ordered. Parsing is strict: unknown keys,
+missing keys, malformed shapes, non-finite numbers, and JSON's
+Infinity/NaN tokens are all rejected; any JSON whitespace is accepted.
+The library writes the object on one line, floats by ``repr``, so a
+written file re-parses bit-identically.
 """
 
 from __future__ import annotations
@@ -55,21 +57,17 @@ def _parse_positive_int(value: Any, key: str) -> int:
     return value
 
 
-def _parse_rows(value: Any, key: str, nrows: int, ncols: int) -> list[list[float]]:
+def _parse_rows(value: Any, key: str, nrows: int, ncols: int) -> np.ndarray:
     if not isinstance(value, list) or len(value) != nrows:
         raise FrameFormatError(f"field '{key}' must be a list of {nrows} rows")
-    rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             raise FrameFormatError(f"field '{key}' row {i} must be a list of {ncols} numbers")
-        out = []
         for j, x in enumerate(row):
             # compared, not converted: an integer literal may exceed the double range
             if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= _MAX:
                 raise FrameFormatError(f"field '{key}' entry ({i}, {j}) must be a finite number, got {x!r}")
-            out.append(float(x))
-        rows.append(out)
-    return rows
+    return np.array(value, dtype=float)
 
 
 def frame_from_dict(doc: Any) -> FramePair:
@@ -86,14 +84,11 @@ def frame_from_dict(doc: Any) -> FramePair:
     count = _parse_positive_int(doc["count"], "count")
     p = _parse_exponent(doc["p"], "p")
     q = _parse_exponent(doc["q"], "q")
-    functionals = _parse_rows(doc["functionals"], "functionals", count, dim)
-    tau_rows = _parse_rows(doc["vectors"], "vectors", count, dim)
-    vectors = [list(col) for col in zip(*tau_rows)]  # row-per-tau -> d x n
     return FramePair(
         x_space=PNormSpace(dim=dim, p=q),
         seq_space=PNormSpace(dim=count, p=p),
-        functionals=functionals,
-        vectors=vectors,
+        functionals=_parse_rows(doc["functionals"], "functionals", count, dim),
+        vectors=_parse_rows(doc["vectors"], "vectors", count, dim).T,  # row-per-tau -> d x n
     )
 
 

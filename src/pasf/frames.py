@@ -50,9 +50,10 @@ class FramePair:
     """A pair (functionals, vectors) over (x_space, seq_space).
 
     ``functionals`` is n x d with row k equal to f_k; ``vectors`` is
-    d x n with column k equal to tau_k. Construction checks shapes only;
-    whether the pair is an actual p-ASF (frame operator invertible) is
-    decided by :func:`validate`.
+    d x n with column k equal to tau_k, both stored C-ordered (see
+    ``spaces._freeze``), so no answer depends on the layout passed in.
+    Construction checks shapes only; whether the pair is an actual p-ASF
+    (frame operator invertible) is decided by :func:`validate`.
 
     The other fields are frozen, so the private ``_memo`` keeps one record
     per (frame, tol), reused by every entry point after that. It holds S,

@@ -207,8 +207,7 @@ def random_orthogonal_parseval_pair(
     def block_frame(offset: int) -> FramePair:
         functionals = np.zeros((n, d))
         functionals[perm[offset:offset + d], np.arange(d)] = 1.0
-        # vectors as a C-ordered copy: FramePair would keep the transposed view in F order
-        return FramePair(x_space, seq_space, functionals, functionals.T.copy())
+        return FramePair(x_space, seq_space, functionals, functionals.T)
 
     return block_frame(0), block_frame(d)
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DimensionMismatch,
     NotInvertibleWitness,
     NotParseval,
     NotSimilar,
@@ -116,8 +117,10 @@ def apply_similarity(frame: FramePair, witness: SimilarityWitness) -> FramePair:
     """Transport a frame by a witness: (f_k T_fg, T_tw tau_k).
 
     The result has frame operator T_tw S T_fg; requires an invertible
-    witness.
+    witness of maps on a space of the frame's dimension.
     """
+    if {witness.t_fg.entries.shape, witness.t_tau_omega.entries.shape} != {(frame.dim, frame.dim)}:
+        raise DimensionMismatch(f"witness maps must be {frame.dim} x {frame.dim} for this frame")
     if not witness.invertible:
         raise NotInvertibleWitness("cannot apply a witness whose maps are singular")
     return FramePair(

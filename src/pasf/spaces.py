@@ -68,8 +68,9 @@ class PNormSpace:
 
 
 def _freeze(arr, ndmin: int) -> np.ndarray:
-    """A read-only float64 copy of ``arr``, with at least ``ndmin`` dimensions."""
-    return _sealed(np.array(arr, dtype=float, ndmin=ndmin))
+    """A read-only, C-ordered float64 copy of ``arr``, with at least ``ndmin`` dimensions:
+    the one place a stored matrix's layout is set, so answers depend on its values only."""
+    return _sealed(np.array(arr, dtype=float, ndmin=ndmin, order="C"))
 
 
 def _sealed(arr: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""A mutation gate for the criterion, certificate, bracket, product and retry rules.
+"""A mutation gate for the criterion, certificate, bracket, product, retry and layout rules.
 
 Each entry of ``MUTANTS`` is one exact text replacement in one file of
 ``src/pasf``; its old text must occur there exactly once. For each, the
@@ -94,6 +94,9 @@ MUTANTS = [
            "operator_norm without its crossing guard", "killed"),
     Mutant("spaces.py", "scaled = (m > 0.0) & np.isfinite(m)", "scaled = m > 0.0",
            "_lp_rows without its isfinite guard", "killed"),
+    # the layout rule
+    Mutant("spaces.py", 'np.array(arr, dtype=float, ndmin=ndmin, order="C")', "np.array(arr, dtype=float, ndmin=ndmin)",
+           "_freeze keeping the layout it is passed", "killed"),
 ]
 
 

@@ -108,6 +108,35 @@ def test_non_numeric_entries_rejected():
         frame_from_dict(doc)
 
 
+@pytest.mark.parametrize("key, i, j, bad", [
+    ("functionals", 0, 1, "x"), ("functionals", 2, 0, True), ("vectors", 1, 1, None),
+    ("vectors", 2, 1, [1.0]), ("vectors", 0, 0, 10**400),
+], ids=["string", "bool", "null", "list", "huge-int"])
+def test_a_bad_entry_is_named_by_its_field_row_and_column(key, i, j, bad):
+    rows = [list(row) for row in GOOD[key]]
+    rows[i][j] = bad
+    with pytest.raises(FrameFormatError) as info:
+        loads_frame(json.dumps(dict(GOOD, **{key: rows})))
+    assert str(info.value) == f"field '{key}' entry ({i}, {j}) must be a finite number, got {bad!r}"
+
+
+@pytest.mark.parametrize("literal, expected", [
+    (str(2**53 + 1), 2.0**53),  # rounds to even
+    (str(10**30), 1e30),
+    (str(int(np.finfo(float).max)), np.finfo(float).max),  # the largest integer <= the largest double
+    ("-0", 0.0),  # the integer 0: no sign
+    ("5e-324", 5e-324),
+    ("-0.0", -0.0),
+])
+def test_an_entry_loads_as_float_converts_its_literal(literal, expected):
+    rows = f"[[{literal}, 0.0], [0.0, 1.0], [1.0, {literal}]]"
+    text = json.dumps(dict(GOOD, functionals="F", vectors="V")).replace('"F"', rows).replace('"V"', rows)
+    frame = loads_frame(text)
+    assert float(json.loads(literal)) == expected
+    for read in (frame.functionals[0, 0], frame.functionals[2, 1], frame.vectors[0, 0], frame.vectors[1, 2]):
+        assert read == expected and np.signbit(read) == np.signbit(expected)
+
+
 def test_numbers_beyond_the_double_range_rejected(tmp_path):
     with pytest.raises(FrameFormatError, match="field 'p'"):
         frame_from_dict(dict(GOOD, p=-(10**400)))

@@ -12,9 +12,10 @@ Exchanging powers of two between a frame's functionals and vectors, f
 every verdict unchanged too; the tests after that pin it, and check P
 against exact rational arithmetic at extreme scales. Then frames whose
 every entry carries its own power of two fuzz the same contracts, a NaN
-entry never yields True, the memo answers as a fresh frame does, and the
-one criterion rule scales with what it compares: no verdict changes under
-(c f, tau / c) for any c.
+entry never yields True, the memo answers as a fresh frame does, so does
+a frame passed in Fortran order, bit for bit, and the one criterion rule
+scales with what it compares: no verdict changes under (c f, tau / c)
+for any c.
 """
 
 import json
@@ -35,9 +36,11 @@ from pasf import (
     Vector,
     are_similar,
     canonical_dual,
+    dumps_frame,
     has_unique_dual,
     is_dual,
     is_orthogonal,
+    loads_frame,
     parseval_transfer_check,
     parsevalize,
     projection,
@@ -472,7 +475,7 @@ def test_a_frame_whose_transport_allowance_overflows_is_similar_to_its_parseval_
 
 
 # ---------------------------------------------------------------------------
-# NaN never yields True; the memo answers as a fresh frame does
+# NaN never yields True; the memo, and a frame in either layout, answers as a fresh frame does
 
 
 def poisoned(frame, which, index):
@@ -537,6 +540,22 @@ def test_answers_after_calls_at_several_tols_equal_those_of_a_fresh_frame(d, ext
     fresh = [results(FramePair(frame.x_space, frame.seq_space, frame.functionals, frame.vectors), tol)
              for tol in tols + tols[::-1]]
     assert shared == fresh
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_frame_passed_in_fortran_order_answers_bit_for_bit_as_in_c_order(p, seed):
+    # BLAS rounds a 33 x 61 product differently for F-ordered operands, so
+    # these frames tell a stored layout apart, even with one matrix F-ordered
+    frame = random_frame(33, 61, p, seed=seed)
+    f, t = frame.functionals, frame.vectors
+    expected = results(frame, 1e-9)
+    agree = [results(FramePair(frame.x_space, frame.seq_space, functionals, vectors), 1e-9) == expected
+             for functionals, vectors in [(np.asfortranarray(f), t), (f, np.asfortranarray(t)),
+                                          (np.asfortranarray(f), np.asfortranarray(t))]]
+    assert agree == [True, True, True]  # f, tau and both F-ordered
+    loaded = loads_frame(dumps_frame(frame))
+    assert loaded.functionals.flags.c_contiguous and loaded.vectors.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

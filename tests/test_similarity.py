@@ -6,6 +6,7 @@ import pytest
 
 from pasf import (
     ConsistencyError,
+    DimensionMismatch,
     LinearMap,
     FramePair,
     NotDual,
@@ -184,6 +185,13 @@ def test_apply_rejects_non_invertible_witness():
     )
     with pytest.raises(NotInvertibleWitness):
         apply_similarity(frame, w)
+
+
+def test_apply_rejects_a_witness_for_another_dimension():
+    g = random_frame(3, 4, seed=1)
+    w = witness_from_frames(g, parsevalize(g)[0])
+    with pytest.raises(DimensionMismatch, match="2 x 2"):
+        apply_similarity(random_frame(2, 4, seed=1), w)
 
 
 def test_witness_flags_singular_candidates():
