@@ -87,10 +87,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _matrix(arr: np.ndarray) -> list[list[float]]:
-    return np.asarray(arr, dtype=float).tolist()
-
-
 class UsageError(Exception):
     """A command line argparse rejects; ``parser`` is the one that rejected it."""
 
@@ -180,8 +176,8 @@ def _cmd_validate(args, tol: float, report: Report, frame) -> int:
     report.add("synthesis surjective", fr.synthesis_surjective, tol)
     report.add("rcond", fr.rcond, tol)
     if args.matrices:
-        report.matrices["frame_operator"] = _matrix(fr.frame_op.entries)
-        report.matrices["frame_operator_inverse"] = _matrix(fr.frame_op_inv.entries)
+        report.matrices["frame_operator"] = fr.frame_op.entries.tolist()
+        report.matrices["frame_operator_inverse"] = fr.frame_op_inv.entries.tolist()
     return EXIT_OK
 
 
@@ -196,8 +192,8 @@ def _cmd_canonical_dual(args, tol: float, report: Report, frame) -> int:
         fileio.save_frame(dual, args.out)
         report.verdict = f"canonical dual written to {args.out}"
     else:
-        report.matrices["dual_functionals"] = _matrix(dual.functionals)
-        report.matrices["dual_vectors"] = _matrix(dual.vectors)
+        report.matrices["dual_functionals"] = dual.functionals.tolist()
+        report.matrices["dual_vectors"] = dual.vectors.tolist()
     return EXIT_OK
 
 
@@ -222,8 +218,8 @@ def _cmd_similarity(args, tol: float, report: Report, frame1, frame2) -> int:
     report.verdict = "similar" if holds else "not similar"
     report.add("projection criterion", holds, tol)
     report.add("witnesses invertible", witness.invertible, tol)
-    report.matrices["t_fg"] = _matrix(witness.t_fg.entries)
-    report.matrices["t_tau_omega"] = _matrix(witness.t_tau_omega.entries)
+    report.matrices["t_fg"] = witness.t_fg.entries.tolist()
+    report.matrices["t_tau_omega"] = witness.t_tau_omega.entries.tolist()
     return EXIT_OK if holds else EXIT_FAIL
 
 
@@ -240,8 +236,8 @@ def _cmd_interpolate(args, tol: float, report: Report, frame1, frame2) -> int:
         fileio.save_frame(stitched, args.out)
         report.verdict = f"Parseval frame written to {args.out}"
     else:
-        report.matrices["functionals"] = _matrix(stitched.functionals)
-        report.matrices["vectors"] = _matrix(stitched.vectors)
+        report.matrices["functionals"] = stitched.functionals.tolist()
+        report.matrices["vectors"] = stitched.vectors.tolist()
     return EXIT_OK
 
 
@@ -265,8 +261,8 @@ def _cmd_sample_duals(args, tol: float, report: Report, frame) -> int:
 def _cmd_factorize(args, tol: float, report: Report, frame) -> int:
     u, v = frames.factorize(frame, tol)
     report.verdict = "factorization computed"
-    report.matrices["u"] = _matrix(u.entries)
-    report.matrices["v"] = _matrix(v.entries)
+    report.matrices["u"] = u.entries.tolist()
+    report.matrices["v"] = v.entries.tolist()
     if args.out:
         doc = {
             "dim": frame.dim,

@@ -28,8 +28,8 @@ from .errors import (
     SpaceMismatch,
 )
 from .frames import FramePair, FrameReport, _canonical, analysis_operator, synthesis_operator
-from .spaces import (DEFAULT_TOL, INF, LinearMap, NormBound, _absmax, _agrees, _product_agrees, _rank,
-                     _require_rank, _residual)
+from .spaces import (DEFAULT_TOL, INF, LinearMap, NormBound, _absmax, _agrees, _product, _product_agrees,
+                     _rank, _require_rank, _residual)
 
 #: Entrywise agreement required between the two gate-operator routes.
 _CROSS_CHECK_TOL = 1e-10
@@ -95,7 +95,8 @@ def right_inverse_from(frame: FramePair, u: LinearMap, tol: float = DEFAULT_TOL)
     """
     _require_shape("U", u, (frame.count, frame.dim), "x_space into seq_space")
     c = _canonical(frame, tol)
-    entries = c.dual_functionals + c.complement @ u.entries
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the double range is inf or NaN
+        entries = c.dual_functionals + _product(c.complement, u.entries)
     return LinearMap(domain=frame.x_space, codomain=frame.seq_space, entries=entries)
 
 
@@ -107,7 +108,8 @@ def left_inverse_from(frame: FramePair, v: LinearMap, tol: float = DEFAULT_TOL) 
     """
     _require_shape("V", v, (frame.dim, frame.count), "seq_space into x_space")
     c = _canonical(frame, tol)
-    entries = c.dual_vectors + v.entries @ c.complement
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the double range is inf or NaN
+        entries = c.dual_vectors + _product(v.entries, c.complement)
     return LinearMap(domain=frame.seq_space, codomain=frame.x_space, entries=entries)
 
 

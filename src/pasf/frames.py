@@ -299,7 +299,7 @@ def from_factorization(u: LinearMap, v: LinearMap, tol: float = DEFAULT_TOL) -> 
         raise DimensionMismatch(
             f"factorization pair has incompatible shapes {u.entries.shape} and {v.entries.shape}"
         )
-    _require_rank(v.entries @ u.entries, tol, NotInvertible, "V U")
+    _require_rank(_product(v.entries, u.entries), tol, NotInvertible, "V U")
     return FramePair(
         x_space=u.domain,
         seq_space=u.codomain,
@@ -334,8 +334,8 @@ def basis_factorization(frame: FramePair, basis: LinearMap, tol: float = DEFAULT
     if basis.domain.dim != d or basis.codomain.dim != d:
         raise DimensionMismatch(f"basis must be {d} x {d}, got {basis.entries.shape}")
     basis_inv, _ = invert_with_rcond(basis, tol)
-    u = basis.entries @ frame.functionals
-    v = frame.vectors @ basis_inv.entries
+    u = _product(basis.entries, frame.functionals)
+    v = _product(frame.vectors, basis_inv.entries)
     return (
         LinearMap(domain=frame.x_space, codomain=frame.x_space, entries=u),
         LinearMap(domain=frame.x_space, codomain=frame.x_space, entries=v),

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _parseval, frame_operator
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _product, _product_agrees, _residual
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def interpolate(
 
     Preconditions are enforced in order: both frames Parseval
     (:class:`NotParseval`), mutually orthogonal (:class:`NotOrthogonal`),
-    and the contract C A + D B = I under the criterion rule, with the
-    rounding on |C| |A| + |D| |B| (:class:`ContractViolated`, carrying the residual).
+    and the contract C A + D B = I, the block product [C D] [A; B] under
+    ``_product_agrees`` (:class:`ContractViolated`, carrying the residual).
     """
     _require_same_spaces(frame1, frame2)
     d = frame1.dim
@@ -82,15 +82,15 @@ def interpolate(
         raise NotParseval("second frame is not Parseval")
     if not is_orthogonal(frame1, frame2, tol):
         raise NotOrthogonal("frames are not orthogonal")
-    a, b = ops.a_op.entries, ops.b_op.entries
-    c, dd = ops.c_op.entries, ops.d_op.entries
-    with np.errstate(over="ignore", invalid="ignore"):  # past the double range: a violation or not a frame
-        residual = _absmax(c @ a + dd @ b - np.eye(d))
-        # the product [C D] [A; B], whose summands are |C| |A| + |D| |B|
-        if not _agrees(residual, tol, 1.0, lambda: _absmax(np.abs(c) @ np.abs(a) + np.abs(dd) @ np.abs(b)), 2 * d):
-            raise ContractViolated(f"C A + D B deviates from the identity by {residual:.3e}", residual=residual)
-        functionals = frame1.functionals @ a + frame2.functionals @ b
-        vectors = c @ frame1.vectors + dd @ frame2.vectors
+    # C A + D B, f A + g B and C tau + D omega, each one block product formed by ``_product``
+    cd = np.hstack([ops.c_op.entries, ops.d_op.entries])
+    ab = np.vstack([ops.a_op.entries, ops.b_op.entries])
+    eye = np.eye(d)
+    if not _product_agrees(cd, ab, eye, tol):
+        residual = _residual(cd, ab, eye)
+        raise ContractViolated(f"C A + D B deviates from the identity by {residual:.3e}", residual=residual)
+    functionals = _product(np.hstack([frame1.functionals, frame2.functionals]), ab)
+    vectors = _product(cd, np.vstack([frame1.vectors, frame2.vectors]))
     return FramePair(x_space=frame1.x_space, seq_space=frame1.seq_space, functionals=functionals, vectors=vectors)
 
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .duality import _require_same_spaces
 from .frames import FramePair, _canonical, _held, _parseval
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product_agrees, _rank, _residual
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _agrees, _product, _product_agrees, _rank, _residual
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,8 @@ def apply_similarity(frame: FramePair, witness: SimilarityWitness) -> FramePair:
     return FramePair(
         x_space=frame.x_space,
         seq_space=frame.seq_space,
-        functionals=frame.functionals @ witness.t_fg.entries,
-        vectors=witness.t_tau_omega.entries @ frame.vectors,
+        functionals=_product(frame.functionals, witness.t_fg.entries),
+        vectors=_product(witness.t_tau_omega.entries, frame.vectors),
     )
 
 

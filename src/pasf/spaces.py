@@ -385,13 +385,14 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
     the smallest singular value is at least (1 - ||R|| - rho) / ||inv|| in
     Frobenius norms, where rho = c (n + 2) eps ||a|| ||inv|| bounds the
     rounding in R (S. M. Rump, Acta Numerica 19, 2010). The answer is True
-    only when that bound clears both 2 tol max|a| and tol max|a| + c n eps
-    ||a||, the second past the SVD's own error (Golub and Van Loan, section
-    8.6), so the SVD could not have counted a value below the threshold.
-    False means "not proved", never "singular": a missing, non-finite or
-    poor ``inv`` gives False. R and all else are formed on a and inv scaled
-    by 2^-e and 2^e (see ``_scaled``), which is exact and keeps every
-    product finite.
+    only when that bound clears tol max|a| + c n eps ||a||. The SVD finds
+    each singular value within c n eps ||a|| (Golub and Van Loan, section
+    8.6), so it finds the smallest at or above tol max|a|, the threshold of
+    :func:`_eliminate`, which then counts the full rank too; no further
+    margin is needed. False means "not proved", never "singular": a
+    missing, non-finite or poor ``inv`` gives False. R and all else are
+    formed on a and inv scaled by 2^-e and 2^e (see ``_scaled``), which is
+    exact and keeps every product finite.
     """
     if inv is None:
         return False
@@ -415,7 +416,7 @@ def _certified(a: np.ndarray, tol: float, inv: np.ndarray | None) -> bool:
     xnorm = float(np.linalg.norm(inv))
     bound = (1.0 - r - unit * (n + 2) * xnorm) / xnorm
     threshold = tol * math.ldexp(scale, -e)
-    return bound >= 2.0 * threshold and bound >= threshold + unit * n
+    return bound >= threshold + unit * n
 
 
 def _rank(a: np.ndarray, tol: float, inv: np.ndarray | None = None) -> int:
@@ -520,12 +521,12 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
 
 
 def compose(a: LinearMap, b: LinearMap) -> LinearMap:
-    """The composition a after b, i.e. the matrix product a.entries @ b.entries."""
+    """The composition a after b: the matrix product a.entries @ b.entries, formed silently by ``_product``."""
     if a.domain.dim != b.codomain.dim:
         raise DimensionMismatch(
             f"cannot compose: inner dims {a.domain.dim} and {b.codomain.dim} differ"
         )
-    return LinearMap(domain=b.domain, codomain=a.codomain, entries=a.entries @ b.entries)
+    return LinearMap(domain=b.domain, codomain=a.codomain, entries=_product(a.entries, b.entries))
 
 
 def identity(space: PNormSpace) -> LinearMap:
@@ -534,9 +535,9 @@ def identity(space: PNormSpace) -> LinearMap:
 
 
 def apply(m: LinearMap, v: Vector) -> Vector:
-    """Apply ``m`` to ``v``; the result lives on the codomain."""
+    """Apply ``m`` to ``v``, the product formed silently by ``_product``; the result lives on the codomain."""
     if v.space.dim != m.domain.dim:
         raise DimensionMismatch(
             f"vector of dim {v.space.dim} does not fit domain of dim {m.domain.dim}"
         )
-    return Vector(space=m.codomain, coords=m.entries @ v.coords)
+    return Vector(space=m.codomain, coords=_product(m.entries, v.coords))

@@ -3,9 +3,10 @@
 Whatever the power-of-two scale of a frame's functionals and vectors,
 every entry point that takes frames either returns or raises a
 ``PasfError``, and emits no numpy RuntimeWarning: a product or sum past
-the double range fails the criterion it feeds, silently. The raw algebra
-(``compose``, ``frame_operator``, ``apply``) is left out: it forms what
-it is asked for, as numpy does.
+the double range fails the criterion it feeds, silently. The public
+algebra (``compose``, ``apply``, the factorizations, the one-sided
+inverses and ``apply_similarity``) forms its products silently too, and
+re-forms an entry whose terms overflow although its true value is finite.
 
 Exchanging powers of two between a frame's functionals and vectors, f
 2^j with tau 2^-j, leaves S, P and every dual unchanged, so it must leave
@@ -31,15 +32,24 @@ from hypothesis import strategies as st
 from pasf import (
     ConsistencyError,
     FramePair,
+    LinearMap,
     PasfError,
     PNormSpace,
+    SimilarityWitness,
     Vector,
+    apply,
+    apply_similarity,
     are_similar,
+    basis_factorization,
     canonical_dual,
+    compose,
     dumps_frame,
+    frame_operator,
+    from_factorization,
     has_unique_dual,
     is_dual,
     is_orthogonal,
+    left_inverse_from,
     loads_frame,
     parseval_transfer_check,
     parsevalize,
@@ -48,6 +58,7 @@ from pasf import (
     random_frame,
     random_orthogonal_parseval_pair,
     reconstruct,
+    right_inverse_from,
     save_frame,
     scalar_interpolate,
     validate,
@@ -208,6 +219,70 @@ def test_stitching_past_the_double_range_does_not_warn(tmp_path, capsys):
     assert not np.isfinite(stitched.functionals).all()
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "NotAFrame"
+
+
+# ---------------------------------------------------------------------------
+# the public algebra: every product formed silently, in range where its true value is
+
+#: 2^600 [[1, 1], [1, -1]], whose square 2^1201 I overflows on the diagonal
+#: while the off-diagonal terms, each past the double range, cancel to 0
+BIG = 2.0**600 * np.array([[1.0, 1.0], [1.0, -1.0]])
+BIG_SQUARED = [[math.inf, 0.0], [0.0, math.inf]]
+
+
+def linear_map(entries):
+    rows, cols = np.shape(entries)
+    return LinearMap(PNormSpace(cols), PNormSpace(rows), entries)
+
+
+def test_compose_and_apply_form_their_products_silently():
+    assert compose(linear_map(BIG), linear_map(BIG)).entries.tolist() == BIG_SQUARED
+    assert apply(linear_map(BIG), Vector(PNormSpace(2), BIG[1])).coords.tolist() == [0.0, math.inf]
+
+
+def test_an_accumulation_past_the_double_range_whose_true_value_is_finite_is_formed_in_range():
+    row, column = linear_map([[1e308, 1e308, -1e308]]), linear_map(np.ones((3, 1)))
+    assert compose(row, column).entries.tolist() == [[1e308]]
+    assert apply(row, Vector(PNormSpace(3), np.ones(3))).coords.tolist() == [1e308]
+
+
+def test_from_factorization_judges_the_true_v_u():
+    # V U = 2^1023 + 2^1023 - 2^1023: its terms overflow, its value does not
+    u, v = linear_map(np.full((3, 1), 2.0**600)), linear_map(2.0**423 * np.array([[1.0, 1.0, -1.0]]))
+    assert frame_operator(from_factorization(u, v)).entries.tolist() == [[2.0**1023]]
+
+
+def test_basis_factorization_forms_its_products_silently():
+    space = PNormSpace(2)
+    frame = FramePair(space, space, BIG, np.eye(2))
+    u, v = basis_factorization(frame, linear_map(BIG))
+    assert u.entries.tolist() == BIG_SQUARED
+    assert v.entries.tolist() == np.ldexp(BIG, -1201).tolist()
+
+
+def test_apply_similarity_forms_its_products_silently():
+    space = PNormSpace(2)
+    witness = SimilarityWitness(linear_map(BIG), linear_map(BIG), invertible=True)
+    moved = apply_similarity(FramePair(space, space, BIG, BIG), witness)
+    assert moved.functionals.tolist() == BIG_SQUARED
+    assert moved.vectors.tolist() == BIG_SQUARED
+
+
+@pytest.mark.parametrize("k, param, expected", [
+    # (I - P) U = -U_1 + U_2 overflows, in truth as well
+    (0, [[-1.7e308], [1.7e308]], [[1.0], [math.inf]]),
+    # (I - P) U is in range, but f S^-1 = 2^1000 added to it is not
+    (-1000, [[0.0], [float(np.finfo(float).max)]], [[2.0**1000], [math.inf]]),
+])
+def test_the_one_sided_inverses_form_their_products_and_sums_silently(k, param, expected):
+    # f = [1, 1]^T and tau = 2^k [1, 0], so S = 2^k and I - P = [[0, 0], [-1, 1]];
+    # the mirror frame, f = 2^k [1, 0]^T and tau = [1, 1], has I - P = [[0, -1], [0, 1]]
+    space, seq = PNormSpace(1), PNormSpace(2)
+    frame = FramePair(space, seq, [[1.0], [1.0]], [[2.0**k, 0.0]])
+    mirror = FramePair(space, seq, [[2.0**k], [0.0]], [[1.0, 1.0]])
+    assert right_inverse_from(frame, LinearMap(space, seq, param)).entries.tolist() == expected
+    assert left_inverse_from(mirror, LinearMap(seq, space, np.transpose(param))).entries.tolist() == [
+        [row[0] for row in expected]]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from pasf import (
     ContractViolated,
     DimensionMismatch,
+    FramePair,
     InterpolationOperators,
     LinearMap,
     NotAFrame,
@@ -169,6 +170,25 @@ def test_an_exact_contract_passes_within_the_rounding_on_its_summands():
     scalar_interpolate(frame1, frame2, a, b, c, d)
 
 
+def test_a_non_diagonal_quadruple_stitches_a_parseval_frame_and_its_contract_is_checked():
+    # A = B = Q and C = D = Q^T / 2 satisfy C A + D B = I; the pair, turned by an
+    # orthogonal W of the sequence space, has no coordinate to itself
+    rng = PortableRng(7)
+    q = np.linalg.qr(rng.matrix(3, 3))[0]
+    w = np.linalg.qr(rng.matrix(8, 8))[0]
+    frame1, frame2 = (FramePair(f.x_space, f.seq_space, w @ f.functionals, f.vectors @ w.T)
+                      for f in random_orthogonal_parseval_pair(3, 8, seed=3))
+    out = interpolate(frame1, frame2, ops_from(frame1, q, q, q.T / 2, q.T / 2))
+    assert maxdiff(out.functionals, (frame1.functionals + frame2.functionals) @ q) <= 1e-14
+    assert maxdiff(out.vectors, q.T @ (frame1.vectors + frame2.vectors) / 2) <= 1e-14
+    assert validate(out).parseval
+    c = q.T / 2
+    c[0, 0] += 1e-6
+    with pytest.raises(ContractViolated) as info:
+        interpolate(frame1, frame2, ops_from(frame1, q, q, c, q.T / 2))
+    assert info.value.residual == pytest.approx(1e-6 * np.abs(q[0]).max(), rel=1e-6)
+
+
 @pytest.mark.parametrize("scalars", [(np.nan, 0.0, 1.0, 0.0), (1.0, 0.0, np.nan, 0.0), (np.inf, 0.0, 1.0, 0.0)])
 def test_scalar_contract_rejects_non_finite(scalars):
     frame1, frame2 = block_orthogonal_pair()
@@ -187,7 +207,7 @@ def test_scalar_interpolate_checks_the_frames_before_its_contract():
 
 
 def test_an_infinite_scalar_reports_the_operator_residual_nan():
-    # inf I times I forms inf * 0 = NaN off the diagonal, under the contract's errstate
+    # inf I times I forms inf * 0 = NaN off the diagonal, silently in ``_product``
     frame1, frame2 = block_orthogonal_pair()
     with pytest.raises(ContractViolated, match="deviates from the identity by nan") as info:
         scalar_interpolate(frame1, frame2, np.inf, 0.0, 1.0, 0.0)
