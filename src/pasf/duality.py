@@ -131,13 +131,12 @@ def dual_from_parameters(
     d, n = frame.dim, frame.count
     _require_shape("U", u, (n, d), "x_space into seq_space")
     _require_shape("V", v, (d, n), "seq_space into x_space")
+    g = right_inverse_from(frame, u, tol).entries
     c = _canonical(frame, tol)
     si = c.s_inv.entries
+    omega = _product(v.entries, c.complement)  # V (I - P) until the gate has read it, then L
+    gate = _product(omega, u.entries)
     with np.errstate(over="ignore", invalid="ignore"):  # past the double range: singular gate or unchecked candidate
-        g = c.complement @ u.entries
-        g += c.dual_functionals
-        omega = v.entries @ c.complement  # V (I - P) until the gate has read it, then L
-        gate = omega @ u.entries
         gate += si
         omega += c.dual_vectors
     # S inverts the gate S^-1 + V (I - P) U approximately when V and U are small

@@ -14,20 +14,14 @@ of scalar multiples of the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolated,
-    DimensionMismatch,
-    NotAFrame,
-    NotOrthogonal,
-    NotParseval,
-)
+from .errors import ContractViolated, DimensionMismatch, NotOrthogonal, NotParseval
 from .duality import _require_same_spaces
-from .frames import FramePair, _canonical, _parseval, frame_operator
-from .spaces import DEFAULT_TOL, LinearMap, _absmax, _product, _product_agrees, _residual
+from .frames import FramePair, _parseval, frame_operator
+from .spaces import DEFAULT_TOL, LinearMap, _absmax, _eliminate, _product, _product_agrees, _residual
 
 
 @dataclass(frozen=True)
@@ -44,12 +38,17 @@ class InterpolationOperators:
     d_op: LinearMap
 
 
+def _pair_scale(frame1: FramePair, frame2: FramePair) -> float:
+    """The pair's scale: max|S| over the two frames' frame operators S."""
+    return max(_absmax(frame_operator(frame).entries) for frame in (frame1, frame2))
+
+
 def is_orthogonal(frame1: FramePair, frame2: FramePair, tol: float = DEFAULT_TOL) -> bool:
     """Operator criterion: theta_tau theta_g and theta_omega theta_f both
     vanish, each with the rounding on its factors (see ``_product_agrees``). A target of 0 has
-    no scale, so both are held to tol × min(1, max|S|) over the two frames' frame operators S."""
+    no scale, so both are held to tol × min(1, ``_pair_scale``)."""
     _require_same_spaces(frame1, frame2)
-    tol *= min(1.0, max(_absmax(frame_operator(frame).entries) for frame in (frame1, frame2)))
+    tol *= min(1.0, _pair_scale(frame1, frame2))
     return (
         _product_agrees(frame1.vectors, frame2.functionals, 0.0, tol)
         and _product_agrees(frame2.vectors, frame1.functionals, 0.0, tol)
@@ -118,19 +117,14 @@ def mixed_pair_degeneracy_check(
 
     For orthogonal (f, tau) and (g, omega), the cross pairs (f, omega)
     and (g, tau) have frame operators theta_omega theta_f = 0 and
-    theta_tau theta_g = 0, so both must fail validation. Returns the two
-    failure flags (True means the mixed pair is degenerate). A pair orthogonal
-    only to within tol can have a mixed pair that validates: orthogonality is
-    held at the frames' scale, a mixed pair's rank at the scale of its own S.
+    theta_tau theta_g = 0, the two products :func:`is_orthogonal` holds
+    near 0. Returns the two degeneracy flags: True when that mixed S has
+    rank below dim, counting singular values at or above tol × max|S|
+    over the two frames' S (``_pair_scale``), the scale at which the pair
+    is orthogonal, not the mixed S's own.
     """
     if not is_orthogonal(frame1, frame2, tol):
         raise NotOrthogonal("frames are not orthogonal")
-
-    def fails(mixed: FramePair) -> bool:
-        try:
-            _canonical(mixed, tol)
-        except NotAFrame:
-            return True
-        return False
-
-    return fails(replace(frame1, vectors=frame2.vectors)), fails(replace(frame2, vectors=frame1.vectors))
+    scale = _pair_scale(frame1, frame2)
+    return tuple(_eliminate(_product(b.vectors, a.functionals), tol, scale) < frame1.dim
+                 for a, b in ((frame1, frame2), (frame2, frame1)))

@@ -194,12 +194,15 @@ class NormBound:
 
 
 def _lp(v: np.ndarray, p: float) -> float:
-    """l^p norm of a vector; for p outside {1, inf} see :func:`_lp_rows`."""
+    """l^p norm of a vector; for p outside {1, inf} see :func:`_lp_rows`. The sum
+    is formed on ``v`` scaled by its largest entry (see ``_scaled``) and scaled
+    back, so a norm past the double range is inf, silently."""
+    if not v.size:
+        return 0.0
     if p == INF:
-        return _absmax(v) if v.size else 0.0
-    if p == 1.0:
-        return float(np.abs(v).sum())
-    return float(_lp_rows(v, p)) if v.size else 0.0
+        return _absmax(v)
+    v, e = _scaled(v)
+    return _ldexp(float(np.abs(v).sum()) if p == 1.0 else float(_lp_rows(v, p)), e)
 
 
 def _lp_rows(v: np.ndarray, p: float) -> np.ndarray:
@@ -359,16 +362,17 @@ def _exact_bound(value: float) -> NormBound:
 # rank, inversion
 
 
-def _eliminate(a: np.ndarray, tol: float) -> int:
-    """Numerical rank: the count of singular values at or above ``tol * max-entry``.
+def _eliminate(a: np.ndarray, tol: float, scale: float | None = None) -> int:
+    """Numerical rank: the count of singular values at or above ``tol * scale``,
+    ``scale`` by default the matrix's max-entry.
 
-    One LAPACK SVD decides it. A matrix with a non-finite entry has rank
-    0, so NaN and inf fail every rank check instead of reaching LAPACK.
+    One LAPACK SVD decides it. A matrix with a non-finite entry, or with no
+    nonzero one, has rank 0, so NaN and inf fail every rank check instead of reaching LAPACK.
     """
-    scale = _absmax(a) if a.size else 0.0
-    if scale == 0.0 or not math.isfinite(scale):
+    top = _absmax(a) if a.size else 0.0
+    if top == 0.0 or not math.isfinite(top):
         return 0
-    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) >= tol * scale))
+    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) >= tol * (top if scale is None else scale)))
 
 
 #: Rounding allowance c of the full-rank certificate, in units of

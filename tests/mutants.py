@@ -52,7 +52,7 @@ MUTANTS = [
            "_parseval scaled by 1, not by max|S|", "killed"),
     Mutant("orthogonality.py", "np.diag(np.full(space.dim, s))", "s * np.eye(space.dim)",
            "scalar_interpolate forming s I as s * I, which forms inf * 0 for an inf scalar", "killed"),
-    Mutant("orthogonality.py", "    tol *= min(1.0, max(", "    tol *= max(1.0, max(",
+    Mutant("orthogonality.py", "    tol *= min(1.0, _pair_scale(", "    tol *= max(1.0, _pair_scale(",
            "is_orthogonal held to tol max(1, max|S|), absolute tol for small S", "killed"),
     Mutant("similarity.py", "agreement = max(tol, frame1.count * diff)", "agreement = tol",
            "similarity's transport limit at tol, not max(tol, n diff)", "killed"),
@@ -73,6 +73,9 @@ MUTANTS = [
     Mutant("spaces.py", "entries=_product(a.entries, b.entries))", "entries=a.entries @ b.entries)",
            "compose formed by raw @", "killed"),
     # rank, inversion and certificates
+    Mutant("orthogonality.py", "_eliminate(_product(b.vectors, a.functionals), tol, scale)",
+           "_eliminate(_product(b.vectors, a.functionals), tol)",
+           "mixed pair ranked at its own scale, not the pair's", "killed"),
     Mutant("spaces.py", "found = min(int(np.linalg.matrix_rank(a)), n - 1)", "found = n - 1",
            "the double-precision rank fallback at n - 1", "killed"),
     Mutant("spaces.py", "(sa, ea), (sinv, einv) = _scaled(a), _scaled(inv)", "(sa, ea), (sinv, einv) = (a, 0), (inv, 0)",
@@ -90,6 +93,9 @@ MUTANTS = [
            "operator_norm without its crossing guard", "killed"),
     Mutant("spaces.py", "scaled = (m > 0.0) & np.isfinite(m)", "scaled = m > 0.0",
            "_lp_rows without its isfinite guard", "killed"),
+    Mutant("spaces.py", "    v, e = _scaled(v)\n",
+           "    if p == 1.0:\n        return float(np.abs(v).sum())\n    v, e = _scaled(v)\n",
+           "_lp's p = 1 sum on the unscaled vector", "killed"),
     # the layout rule
     Mutant("spaces.py", 'np.array(arr, dtype=float, ndmin=ndmin, order="C")', "np.array(arr, dtype=float, ndmin=ndmin)",
            "_freeze keeping the layout it is passed", "killed"),

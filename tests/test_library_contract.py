@@ -36,6 +36,7 @@ from pasf import (
     PasfError,
     PNormSpace,
     SimilarityWitness,
+    Singular,
     Vector,
     apply,
     apply_similarity,
@@ -47,21 +48,25 @@ from pasf import (
     frame_operator,
     from_factorization,
     has_unique_dual,
+    invert_with_rcond,
     is_dual,
     is_orthogonal,
     left_inverse_from,
     loads_frame,
+    operator_norm,
     parseval_transfer_check,
     parsevalize,
     projection,
     random_dual,
     random_frame,
     random_orthogonal_parseval_pair,
+    rank,
     reconstruct,
     right_inverse_from,
     save_frame,
     scalar_interpolate,
     validate,
+    vector_norm,
     witness_from_frames,
 )
 from pasf import similarity
@@ -283,6 +288,42 @@ def test_the_one_sided_inverses_form_their_products_and_sums_silently(k, param, 
     assert right_inverse_from(frame, LinearMap(space, seq, param)).entries.tolist() == expected
     assert left_inverse_from(mirror, LinearMap(seq, space, np.transpose(param))).entries.tolist() == [
         [row[0] for row in expected]]
+
+
+#: an invertible map and a vector whose entries are below 2, so that every
+#: 2^e multiple up to 2^1023 is finite, while at 2^1023 every l^p norm of the
+#: vector but the sup norm passes the double range
+SWEEP_MAP = np.array([[1.5, -1.0, 0.5], [1.0, 1.5, -1.25], [-0.5, 1.0, 1.5]])
+SWEEP_VECTOR = np.array([1.5, -1.5, 1.5])
+
+
+def times_two_to_the(x, e):
+    """x 2^e, rounded once, inf past the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("e", [-1074, -1000, -600, 600, 1000, 1023])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_norms_ranks_inverses_and_products_at_the_ends_of_the_double_range_never_warn(e, p):
+    space = PNormSpace(3, p)
+    m = LinearMap(space, space, np.ldexp(SWEEP_MAP, e))
+    v = Vector(space, np.ldexp(SWEEP_VECTOR, e))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = vector_norm(space, v)
+        operator_norm(m)
+        rank(m)
+        try:
+            invert_with_rcond(m)
+        except Singular:
+            pass
+        compose(m, m)
+        apply(m, v)
+    # the norm of 2^e v is 2^e times that of v, rounded once: inf past the double range
+    assert norm == times_two_to_the(vector_norm(space, Vector(space, np.ldexp(v.coords, -e))), e)
 
 
 # ---------------------------------------------------------------------------

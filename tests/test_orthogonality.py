@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pasf import (
     ContractViolated,
@@ -317,15 +321,27 @@ def test_mixed_pairs_always_fail_validation():
         assert mixed_pair_degeneracy_check(a, b) == (True, True)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="orthogonality is held at the frames' scale, a mixed pair's rank at its own S's")
 def test_the_mixed_pairs_of_a_pair_orthogonal_within_tol_are_degenerate():
-    # both frames are Parseval and tau_1 g = 1e-12 I is within tol of 0, yet the
-    # mixed pair (g, tau_1) has S = 1e-12 I, which validates with rcond 1
+    # both frames are Parseval and tau_1 g = 1e-12 I is within tol of 0; the
+    # mixed pair (g, tau_1) has S = 1e-12 I, which validates with rcond 1 on its
+    # own, but its rank is counted at the pair's scale, max|S| = 1
     frame1 = make_frame([[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]])
     frame2 = make_frame([[1e-12, 0], [0, 1e-12], [1, 0], [0, 1]], [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert is_orthogonal(frame1, frame2)
     assert mixed_pair_degeneracy_check(frame1, frame2) == (True, True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(1, 4), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       log_eps=st.floats(-16.0, -9.5))
+def test_the_mixed_pairs_of_a_perturbed_orthogonal_pair_are_degenerate(d, extra, seed, log_eps):
+    # g moved by eps N(0, 1): whenever the pair is still orthogonal within tol,
+    # both mixed pairs are degenerate at the pair's scale
+    frame1, frame2 = random_orthogonal_parseval_pair(d, 2 * d + extra, seed=seed)
+    noise = np.random.default_rng(seed).standard_normal(frame2.functionals.shape)
+    perturbed = replace(frame2, functionals=frame2.functionals + 10.0**log_eps * noise)
+    assume(is_orthogonal(frame1, perturbed))
+    assert mixed_pair_degeneracy_check(frame1, perturbed) == (True, True)
 
 
 def test_mixed_pair_check_rejects_non_orthogonal_input():
