@@ -35,6 +35,7 @@ from .spaces import (
     _certified,
     _exact_bound,
     _freeze,
+    _inverse_bound,
     _lp,
     _product,
     _rank,
@@ -55,11 +56,11 @@ class FramePair:
     Construction checks shapes only; whether the pair is an actual p-ASF
     (frame operator invertible) is decided by :func:`validate`.
 
-    The other fields are frozen, so the private ``_memo`` keeps one record
-    per (frame, tol), reused by every entry point after that. It holds S,
-    S^-1 and rcond, from one inversion, and forms on first read, read-only,
-    the products built from S^-1: the canonical dual's f S^-1 and S^-1 tau,
-    P = (f S^-1) tau and I - P.
+    The other fields are frozen, so what is formed from them is kept on the
+    frame: S on its first read (see :func:`frame_operator`), and in the private
+    ``_memo`` one record per (frame, tol), reused by every entry point after that,
+    holding S^-1 and rcond from one inversion of that S and forming on first read,
+    read-only, f S^-1, S^-1 tau, P = (f S^-1) tau and I - P (see ``_Canonical``).
     """
 
     x_space: PNormSpace
@@ -94,6 +95,10 @@ class FramePair:
     def same_spaces(self, other: "FramePair") -> bool:
         return self.x_space == other.x_space and self.seq_space == other.seq_space
 
+    #: S = T F, formed on the first read and kept (see :func:`frame_operator`)
+    _frame_op = cached_property(lambda self: LinearMap(self.x_space, self.x_space,
+                                                       _product(self.vectors, self.functionals)))
+
 
 @dataclass(frozen=True)
 class FrameReport:
@@ -126,8 +131,9 @@ def synthesis_operator(frame: FramePair) -> LinearMap:
 
 
 def frame_operator(frame: FramePair) -> LinearMap:
-    """S = theta_tau . theta_f, the map x |-> sum f_k(x) tau_k, formed silently by ``_product``."""
-    return LinearMap(frame.x_space, frame.x_space, _product(frame.vectors, frame.functionals))
+    """S = theta_tau . theta_f, the map x |-> sum f_k(x) tau_k, formed silently by ``_product``
+    on the first call and kept on the frame, so every reader of S gets this one immutable map."""
+    return frame._frame_op
 
 
 def _invert_frame_op(frame: FramePair, tol: float) -> tuple[LinearMap, LinearMap, float]:
@@ -209,22 +215,17 @@ def _held(frame: FramePair, tol: float) -> _Canonical | None:
 
 def _parseval(frame: FramePair, tol: float) -> bool:
     """``validate(frame, tol).parseval`` without the norm brackets: S = I,
-    scaled by S (see ``_agrees``). A frame whose S = T F passes, and
-    whose full rank the identity certifies as its approximate inverse, is
-    Parseval with no inversion. Otherwise S^-1 decides: a singular S raises
-    :class:`NotAFrame` with its rank, as in :func:`validate`.
+    scaled by S (see ``_agrees``). A frame whose S passes, and whose full
+    rank the identity certifies as its approximate inverse, is Parseval with
+    no inversion; otherwise S^-1 is formed, so a singular S raises
+    :class:`NotAFrame` with its rank, as in :func:`validate`. An S past the
+    double range or not finite fails the test and is singular.
     """
-    eye = np.eye(frame.dim)
-
-    def is_identity(s: np.ndarray) -> bool:
-        return _agrees(_absmax(s - eye), tol, _absmax(s))
-
-    if _held(frame, tol) is None:
-        # an S past the double range or not finite fails here, and again where S^-1 forms it
-        s = frame_operator(frame).entries
-        if is_identity(s) and _certified(s, tol, eye):
-            return True
-    return is_identity(_canonical(frame, tol).s.entries)
+    s, eye = frame_operator(frame).entries, np.eye(frame.dim)
+    parseval = _agrees(_absmax(s - eye), tol, _absmax(s))
+    if not (parseval and _certified(s, tol, eye)):
+        _canonical(frame, tol)
+    return parseval
 
 
 def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
@@ -240,14 +241,18 @@ def validate(frame: FramePair, tol: float = DEFAULT_TOL) -> FrameReport:
 
     At p = 2 both bounds are exact and come from one SVD of S: a is its
     smallest singular value and b its largest. Other exponents bracket
-    ||S^-1|| and ||S|| with :func:`~pasf.spaces.operator_norm`.
+    ||S^-1|| and ||S|| with :func:`~pasf.spaces.operator_norm`; at p outside
+    {1, 2, inf} the bracket of ||S^-1|| is widened by the residual of the
+    computed inverse, so both brackets hold for the stored S, rounding
+    included.
     """
     c, full = _canonical(frame, tol), min(frame.dim, frame.count)
     if frame.x_space.p == 2.0:
         sv = np.linalg.svd(c.s.entries, compute_uv=False)
         lower, upper = _exact_bound(float(sv[-1])), _exact_bound(float(sv[0]))
     else:
-        lower, upper = operator_norm(c.s_inv).reciprocal(), operator_norm(c.s)
+        inverse = _inverse_bound(operator_norm(c.s_inv), c.s.entries, c.s_inv.entries)
+        lower, upper = inverse.reciprocal(), operator_norm(c.s)
     return FrameReport(
         frame_op=c.s,
         frame_op_inv=c.s_inv,

@@ -41,6 +41,8 @@ INF = math.inf
 
 _EPS = float(np.finfo(float).eps)
 _MAX_DOUBLE = float(np.finfo(float).max)
+_U = _EPS / 2.0  # the unit roundoff u
+_TINY = math.ulp(0.0)  # the smallest subnormal, 2^-1074
 
 
 def _valid_exponent(p: float) -> bool:
@@ -111,10 +113,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its terms overflowed; only where an entry is not finite and both factors
     are finite and nonzero is it formed again on a and b scaled by their
     largest entries (see ``_scaled``) and scaled back, so it overflows only
-    where its true value does. A non-finite factor gives inf or NaN."""
+    where its true value does. A non-finite factor gives inf or NaN. One sum
+    tests every entry: it is finite only if they all are, and a sum of finite
+    entries that overflows merely sends the product to the re-form, which
+    replaces no finite entry."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = a @ b
-    if not _absmax(product) < INF and all(0.0 < _absmax(m) < INF for m in (a, b)):
+        finite = math.isfinite(product.sum())
+    if not finite and all(0.0 < _absmax(m) < INF for m in (a, b)):
         (a, ea), (b, eb) = _scaled(a), _scaled(b)
         np.copyto(product, _scaled(a @ b, -ea - eb)[0], where=~np.isfinite(product))
     return product
@@ -162,10 +168,10 @@ class LinearMap:
 class NormBound:
     """A certified bracket [lower, upper] around an operator norm.
 
-    ``exact`` means the value is known (lower == upper). For bracket
-    results the true norm lies inside the interval up to rounding: neither
-    end is rounded outward yet, so 3 I on l^3_3 gets [3.0000000000000004,
-    3.0000000000000004], one ulp above its norm.
+    ``exact`` means the value is known (lower == upper), for the matrix as
+    stored. A bracket (``exact`` false) contains the true norm with every
+    rounding counted: each end is rounded outward (see :func:`operator_norm`),
+    so 3 I on l^3_3 gets a bracket that contains 3.
     """
 
     lower: float
@@ -184,10 +190,17 @@ class NormBound:
         return self.lower
 
     def reciprocal(self) -> "NormBound":
-        """Bracket of 1/x for x in this bracket, with 1/0 = inf and 1/inf = 0."""
-        upper = INF if self.lower == 0.0 else 1.0 / self.lower
-        lower = INF if self.upper == 0.0 else 1.0 / self.upper
-        return NormBound(lower=lower, upper=upper, exact=self.exact)
+        """Bracket of 1/x for x in this bracket, with 1/0 = inf and 1/inf = 0. A
+        bracket stays certified: a quotient that rounded (1/x is exact only for x
+        a power of two) moves one ulp outward, past the half ulp it may be off."""
+
+        def over(x: float, toward: float) -> float:
+            if x == 0.0:
+                return INF
+            exact = self.exact or math.frexp(x)[0] == 0.5
+            return 1.0 / x if exact else math.nextafter(1.0 / x, toward)
+
+        return NormBound(lower=over(self.upper, 0.0), upper=over(self.lower, INF), exact=self.exact)
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= x <= self.upper + slack
@@ -306,14 +319,45 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     bound is the best value of a dual-vector ascent run as one block from
     the all-ones vector, the largest-norm column's coordinate direction and
     ``max(restarts, 8)`` uniform starts, one row-major ``PortableRng`` fill
-    from seed 0x9E3779B97F4A7C15; the upper bound is the interpolation
-    bound ||A||_1^(1/p) * ||A||_inf^(1-1/p).
+    from seed 0x9E3779B97F4A7C15, and never less than max|a_ij|, which is
+    |e_i^T A e_j| <= ||A||_p exactly; the upper bound is the interpolation
+    bound ||A||_1^(1/p) * ||A||_inf^(1-1/p) (Riesz–Thorin).
     Any NaN or inf entry gives ``NormBound(nan, nan, exact=False)``.
 
     The sums and the search run on A scaled by the power of two 2^-e that
     brings max|a_ij| into [1/2, 1) (see ``_scaled``), so no step overflows;
     their results are scaled back by 2^e, a sum past the double range to
     inf and the search's lower bound to the largest double.
+
+    Both ends are rounded outward, so the bracket holds with rounding
+    included. For an m x n map, with u the unit roundoff and each power
+    (numpy's and libm's ``pow``) within one ulp, 2u, the counts of
+    roundings below are bounded by j = 2 (m + n) + 16, and each end is
+    moved by ``_below`` or ``_above`` for j:
+    - Upper. The m-term column sums and n-term row sums take m - 1 and
+      n - 1 roundings; rounding the exponents 1/p and 1 - 1/p (by u and 2u)
+      moves s^(1/p), for a sum s in [1/2, max(m, n)], by a factor within
+      3u (1 + ln max(m, n)) <= (m + n + 2) u; two powers and a product
+      add 5. That is at most 2 (m + n) + 6.
+    - Lower. A row's value v = cx my sy^(1/p) is ||y^||_p / ||x||_p, for
+      the x the ascent holds and y^ the computed A x, up to the rounding of
+      ||y^||_p (a division, the term powers and their rounded exponent
+      p - 1, an m-term sum, the root and its exponent, a product: at most
+      m + 6 + ln m + m / e), of cx = 1 / ||x||_p (formed from x's norm, or
+      after a step as root / s from the powers that formed x, whose
+      rounded exponent q - 1 adds at most n / e: at most n + 7 + ln n +
+      n / e) and of two products; in all at most j. And
+      |y^ - A x| <= gamma_n |A| |x| (Higham, ch. 3), whose p-norm is at
+      most gamma_n ||x||_p times the upper bound. Hence ||A||_p >=
+      ||A x||_p / ||x||_p >= v (1 - gamma_j) - gamma_(n+1) upper, where
+      gamma_(n+1) also covers forming that product; the subtraction moves
+      one ulp down. The lower bound is also never less than the certified
+      norm of the coordinate start's column (see ``_lp_floor``).
+    - Terms that underflow move a sum of at least 1/2 by under n 2^-1022,
+      and scaling A by 2^-e rounds only subnormal entries, by under
+      2^-1075 each: both lie far inside the slack of these counts. Scaling
+      back is exact unless the result is subnormal, where one subnormal
+      ulp outward covers it.
     """
     if m.domain.p != m.codomain.p:
         raise MixedExponents(
@@ -329,21 +373,64 @@ def operator_norm(m: LinearMap, restarts: int = 8) -> NormBound:
     a, e = _scaled(a, math.frexp(top)[1])
     if p == INF:
         return _exact_bound(_ldexp(float(np.abs(a).sum(axis=1).max()), e))
-    n1 = _ldexp(float(np.abs(a).sum(axis=0).max()), e)
+    n1 = float(np.abs(a).sum(axis=0).max())
     if p == 1.0:
-        return _exact_bound(n1)
-    ninf = _ldexp(float(np.abs(a).sum(axis=1).max()), e)
-    upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
+        return _exact_bound(_ldexp(n1, e))
+    ninf = float(np.abs(a).sum(axis=1).max())
+    rows, n = a.shape
+    j = 2 * (rows + n) + 16  # the roundings counted above
+    upper = _above(n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p), j)
 
-    n = a.shape[1]
+    column = int(np.argmax(_lp_rows(a.T, p)))  # the largest-norm column's
     count = max(restarts, 8)
     starts = np.zeros((count + 2, n))
     starts[0] = 1.0
-    starts[1, int(np.argmax(_lp_rows(a.T, p)))] = 1.0
+    starts[1, column] = 1.0
     starts[2:] = _seeded_starts(n, count)
-    lower = min(_ldexp(_ascent(a, p, starts), e), _MAX_DOUBLE)
-    upper = max(upper, lower)  # guard the bracket against roundoff crossing
+    lower = math.nextafter(_below(_ascent(a, p, starts), j) - _gamma(n + 1) * upper, -INF)
+    lower = max(lower, _lp_floor(a[:, column], p))
+    # scaling back is exact unless the result is subnormal; one ulp outward covers that
+    lower = max(min(_ldexp(lower, e), _MAX_DOUBLE) - _TINY, top)
+    upper = _ldexp(upper, e) + min(upper, _TINY)  # the zero map's stays 0
     return NormBound(lower=lower, upper=upper, exact=False)
+
+
+def _lp_floor(v: np.ndarray, p: float) -> float:
+    """A lower bound on ||v||_p, 1 < p < inf, within 9u of it. With
+    (w, e) = ``_scaled(|v|)``, the sum s of the w_i^p is taken by
+    ``math.fsum``, so it rounds once, and s^(1/p) as s^c (1 + d ln s) for
+    c = fl(1/p) and d = 1/p - c, exactly, so the exponent's rounding is
+    undone. What is left are the powers (2u, or 2u / p once rooted), the
+    sum (u), the root (2u), the correction and the product (u each): 7
+    roundings, then ``_below``; scaling back by 2^e is exact."""
+    w, e = _scaled(np.abs(v))
+    s, c = math.fsum(w ** p), 1.0 / p
+    if not s:
+        return 0.0
+    # d = 1/p - c in exact integer arithmetic, then rounded once
+    (pn, pd), (cn, cd) = p.as_integer_ratio(), c.as_integer_ratio()
+    d = (pd * cd - cn * pn) / (pn * cd)
+    return _ldexp(_below(s ** c * (1.0 + d * math.log(s)), 7), e)
+
+
+def _below(x: float, j: int) -> float:
+    """x, formed with j roundings from a value x0 >= 0 and so within a factor
+    1 ± gamma_j of it (see ``_gamma``), moved to at most x0: x (1 - gamma_(j+2)),
+    whose own two roundings the 2 covers."""
+    return x * (1.0 - _gamma(j + 2))
+
+
+def _above(x: float, j: int) -> float:
+    """x, formed with j roundings from a value x0 >= 0, moved to at least x0:
+    x (1 + gamma_(2j+4)), since (1 - gamma_(j+2)) (1 + gamma_(2j+4)) >= 1."""
+    return x * (1.0 + _gamma(2 * j + 4))
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), which bounds the relative error of k roundings
+    compounded (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 3)."""
+    return k * _U / (1.0 - k * _U)
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -518,6 +605,62 @@ def invert_with_rcond(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[LinearMap
     norms = float(np.abs(sa).sum(axis=0).max()) * float(np.abs(sinv).sum(axis=0).max())
     rcond = _ldexp(1.0 / norms, -ea - einv)
     return LinearMap(domain=m.codomain, codomain=m.domain, entries=inv), rcond
+
+
+def _inverse_bound(bound: NormBound, a: np.ndarray, x: np.ndarray) -> NormBound:
+    """Bracket of ||a^-1|| for square ``a``, from ``bound``, the bracket of
+    ``operator_norm`` on its approximate inverse ``x``.
+
+    LU's X is not a^-1: with R = I - X a, X = (I - R) a^-1 and
+    a^-1 = (I - R)^-1 X, so ||X|| / (1 + ||R||) <= ||a^-1|| <= ||X|| / (1 - ||R||):
+    the upper end widens by ||X|| ||R|| / (1 - ||R||), and is inf where
+    ||R|| may reach 1. ||R|| is bounded above by ``_residual_bound``, and
+    each end, two roundings off, is moved outward (see ``_below``). An exact
+    bound (p in {1, 2, inf}) is ||X||, exact for the stored X, and is
+    returned as it is.
+    """
+    if bound.exact:
+        return bound
+    r = _residual_bound(a, x)
+    upper = _above(bound.upper / (1.0 - r), 2) if r < 1.0 else INF
+    return NormBound(lower=_below(bound.lower / (1.0 + r), 2), upper=upper, exact=False)
+
+
+def _residual_bound(a: np.ndarray, x: np.ndarray) -> float:
+    """An upper bound on ||I - x a||_p at every p, for square ``a``, rounding included.
+
+    Formed directly, x a is off by up to gamma_n |x| |a| (Higham, ch. 3),
+    which swamps the residual of a good inverse, so x a is formed in two
+    parts. With a scaled by 2^-e and x by 2^e (exact, and x a unchanged),
+    each of a and x is split as h + l, h its entries rounded to multiples of
+    2^(t - b), where max|.| < 2^t and 2 b + ceil(log2 n) <= 53. Every partial
+    sum of h_x h_a is then an integer multiple of 2^(t_x + t_a - 2 b) below
+    2^53 of them, so it is formed exactly in any order (Ozaki, Ogita, Oishi
+    and Rump, Numer. Algorithms 59, 2012), and l = m - h is exact. The rest,
+    h_x l_a + l_x a, is about 2^-b of x a, and so is its rounding:
+    |l| <= 2^(t - b - 1) and |h| <= 2^t give gamma_n (|h_x| |l_a| + |l_x| |a|)
+    <= gamma_n n 2^(t_x - b) entrywise (t_a = 0). R is formed as
+    ((I - h_x h_a) - h_x l_a) - l_x a, with partial results T and V, so
+    |R| <= |R^| + u (|R^| + |T| + |V|) + that. Its p-norm is at most the larger
+    of its 1- and inf-norms (Riesz–Thorin): sums of n terms, each formed with
+    3 roundings, plus that term, n + 3 roundings in all (see ``_above``).
+    Past the double range, or with a unit that underflows, the bound is inf
+    or NaN, never finite and low.
+    """
+    n = len(a)
+    a, e = _scaled(a)
+    x = _scaled(x, -e)[0]
+    b, tx = (53 - (n - 1).bit_length()) // 2, _exponent(x)
+    if tx - 2 * b < -1074:  # the unit of h_x h_a underflows
+        return INF
+    ha, hx = (np.ldexp(np.rint(np.ldexp(m, b - t)), t - b) for m, t in ((a, 0), (x, tx)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.eye(n) - hx @ ha
+        v = t - hx @ (a - ha)
+        r = v - (x - hx) @ a
+        bound = np.abs(r) + _U * (np.abs(r) + np.abs(t) + np.abs(v))
+        sums = max(float(bound.sum(axis=0).max()), float(bound.sum(axis=1).max()))
+        return _above(sums + _gamma(n + 1) * n * n * math.ldexp(1.0, tx - b), n + 3)
 
 
 # ---------------------------------------------------------------------------

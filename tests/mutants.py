@@ -61,18 +61,19 @@ MUTANTS = [
     Mutant("duality.py", "_CROSS_CHECK_TOL = 1e-10", "_CROSS_CHECK_TOL = 1e-6",
            "the gate cross-check at 1e-6", "killed"),
     # the product rule
-    Mutant("spaces.py", "if not _absmax(product) < INF and all(0.0 < _absmax(m) < INF for m in (a, b)):", "if False:",
+    Mutant("spaces.py", "if not finite and all(0.0 < _absmax(m) < INF for m in (a, b)):", "if False:",
            "_product without its re-form of non-finite entries", "killed"),
     Mutant("spaces.py", "    product = _product(a, b)\n",
            '    with np.errstate(over="ignore", invalid="ignore"):\n        product = a @ b\n',
            "_residual forming a @ b directly", "killed"),
-    Mutant("frames.py", "    return LinearMap(frame.x_space, frame.x_space, _product(frame.vectors, frame.functionals))",
-           '    with np.errstate(over="ignore", invalid="ignore"):\n'
-           "        return LinearMap(frame.x_space, frame.x_space, frame.vectors @ frame.functionals)",
-           "frame_operator as raw @ under errstate", "killed"),
+    Mutant("frames.py", "_product(self.vectors, self.functionals)))",
+           'np.errstate(over="ignore", invalid="ignore")(np.matmul)(self.vectors, self.functionals)))',
+           "the frame's S formed by raw @ under errstate", "killed"),
     Mutant("spaces.py", "entries=_product(a.entries, b.entries))", "entries=a.entries @ b.entries)",
            "compose formed by raw @", "killed"),
     # rank, inversion and certificates
+    Mutant("frames.py", "    _frame_op = cached_property(", "    _frame_op = property(",
+           "the frame's S formed again on every read", "killed"),
     Mutant("orthogonality.py", "_eliminate(_product(b.vectors, a.functionals), tol, scale)",
            "_eliminate(_product(b.vectors, a.functionals), tol)",
            "mixed pair ranked at its own scale, not the pair's", "killed"),
@@ -89,8 +90,14 @@ MUTANTS = [
     # norms and brackets
     Mutant("spaces.py", "moving = m * root > cx * my * sy * (1.0 + 1e-12)", "moving = m * root > cx * my * sy * (1.0 + 1e-6)",
            "the ascent stopping at 1e-6, not 1e-12", "killed"),
-    Mutant("spaces.py", "    upper = max(upper, lower)", "    upper = upper",
-           "operator_norm without its crossing guard", "killed"),
+    Mutant("spaces.py", "if self.lower < 0 or self.upper < self.lower:", "if self.lower < 0:",
+           "a crossing bracket accepted, where the certified ends make it a raise", "killed"),
+    Mutant("spaces.py", "    return x * (1.0 - _gamma(j + 2))", "    return x",
+           "the outward margin of every bracket's lower end dropped", "killed"),
+    Mutant("spaces.py", "    return x * (1.0 + _gamma(2 * j + 4))", "    return x",
+           "the outward margin of every bracket's upper end dropped", "killed"),
+    Mutant("spaces.py", "    r = _residual_bound(a, x)\n", "    r = 0.0\n",
+           "the S^-1 bracket not widened by the inverse's residual", "killed"),
     Mutant("spaces.py", "scaled = (m > 0.0) & np.isfinite(m)", "scaled = m > 0.0",
            "_lp_rows without its isfinite guard", "killed"),
     Mutant("spaces.py", "    v, e = _scaled(v)\n",

@@ -116,6 +116,19 @@ def test_frame_operator_examples():
     assert maxdiff(frame_operator(tall_frame()).entries, [[2, 0], [0, 1]]) == 0.0
 
 
+def test_frame_operator_is_formed_once_per_frame():
+    frame = random_frame(3, 5, 3.0, seed=1)
+    s = frame_operator(frame)
+    assert frame_operator(frame) is s
+    # every tol's record inverts that same S
+    assert frames._canonical(frame, 1e-9).s is s and frames._canonical(frame, 1e-3).s is s
+    # a replaced frame is a new frame, with its own S
+    other = dataclasses.replace(frame, vectors=2.0 * frame.vectors)
+    assert frame_operator(other) is not s
+    assert np.array_equal(frame_operator(other).entries, 2.0 * s.entries)
+    assert frame_operator(dataclasses.replace(frame)) is not s
+
+
 def test_frame_operator_splits_as_rank_one_sum():
     for seed in range(50):
         frame = random_frame(3, 6, seed=seed)
@@ -228,16 +241,57 @@ def test_validate_rejects_non_finite_entries(bad, in_tau):
         assert info.value.rank == 0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="generic-p brackets hold only up to rounding (ROADMAP item 1)")
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3, 0.6])
+@pytest.mark.parametrize("frame", [
+    standard_frame(3),
+    scaled_frame(2, 1.3),
+    make_frame(np.diag([1.0, 0.5]), np.eye(2)),  # within 0.6 of I, yet of rank 1 at that tol
+    make_frame([[1, 0], [1, 0]], [[1, 1], [0, 0]]),  # singular
+    random_orthogonal_parseval_pair(3, 7, 3.0, seed=4)[0],
+    random_frame(3, 5, 3.0, seed=2),
+], ids=["identity", "scaled", "near-identity-singular", "singular", "parseval", "random"])
+def test_parseval_gives_one_verdict_with_and_without_a_held_record(frame, tol):
+    def verdict(frame):
+        try:
+            return frames._parseval(frame, tol)
+        except NotAFrame as exc:
+            return "NotAFrame", exc.rank, str(exc)
+
+    fresh = verdict(dataclasses.replace(frame))
+    held = dataclasses.replace(frame)
+    try:
+        frames._canonical(held, tol)
+    except NotAFrame:
+        pass  # nothing is held for a singular S; the verdict must still match
+    assert verdict(held) == fresh
+
+
 def test_validate_brackets_contain_the_bounds_of_a_scaled_identity():
-    # f = I and tau = c I give S = c I exactly, so a = b = c; yet at c = 3 on
-    # l^3_3 the brackets are [2.9999999999999996] and [3.0000000000000004]:
-    # the ascent's rounding lifts ||S||, and S^-1 is LU's inverse, not (c I)^-1
+    # f = I and tau = c I give S = c I exactly, so a = b = c; rounded to
+    # nearest, at c = 3 on l^3_3 the brackets would be [2.9999999999999996]
+    # and [3.0000000000000004]: the ascent's rounding lifts ||S||, and S^-1
+    # is LU's inverse, not (c I)^-1, whose residual must widen a's bracket
     for p in (1.5, 3.0):
         for c in (3.0, 5.0, 7.0, 10.0, 0.3):
             report = validate(scaled_frame(3, c, p=p))
             assert report.lower_bound.contains(c) and report.upper_bound.contains(c), (p, c)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("k", [20, 26, 30])
+def test_validate_brackets_a_for_an_ill_conditioned_frame_operator(k, p):
+    # S = (1 - b) I + b J with b = -1/2 + 2^-k: S^-1 is nonnegative with every
+    # row and column summing to 1 / (1 + 2 b) = 2^(k-1), which is ||S^-1||_p at
+    # every p, so a = 2^(1-k) exactly. S's condition number is about 2^k, and
+    # LU's inverse is off by far more than the brackets' rounding: only the
+    # widening by the inverse's residual keeps a inside
+    s = np.full((3, 3), -0.5 + 2.0**-k)
+    np.fill_diagonal(s, 1.0)
+    report = validate(make_frame(np.eye(3), s, p=p))
+    assert not report.lower_bound.exact
+    assert report.lower_bound.contains(2.0 ** (1 - k))
+    # and the widening is no wider than the residual calls for: about cond(S) eps
+    assert report.lower_bound.upper <= 2.0 ** (1 - k) * (1.0 + 2.0**k * 1e-13)
 
 
 def test_parseval_brackets_contain_one_within_dim_tol():

@@ -276,6 +276,26 @@ def test_interpolating_orthogonal_parseval_frames_inverts_no_frame_operator(monk
     assert validate(stitched).parseval
 
 
+@pytest.mark.parametrize("call", [
+    lambda f1, f2: scalar_interpolate(f1, f2, 0.6, 0.8, 0.6, 0.8),
+    mixed_pair_degeneracy_check,
+], ids=["scalar_interpolate", "mixed_pair_degeneracy_check"])
+def test_each_frame_operator_is_formed_once(monkeypatch, call):
+    # S = tau f belongs to the frame: the Parseval test, the pair's scale and
+    # the orthogonality criterion all read the one S each frame forms
+    pair = random_orthogonal_parseval_pair(32, 64, 2.0, seed=1)
+    formed = []
+    real = frames._product
+
+    def counting(a, b):
+        formed.extend(f for f in pair if a is f.vectors and b is f.functionals)
+        return real(a, b)
+
+    monkeypatch.setattr(frames, "_product", counting)
+    call(*pair)
+    assert sorted(map(id, formed)) == sorted(map(id, pair))
+
+
 def test_interpolating_a_singular_frame_within_tol_of_parseval_is_not_a_frame():
     # S = diag(1, 0.5) is within tol = 0.6 of I, yet of rank 1 at that tol
     frame1 = make_frame(np.diag([1.0, 0.5]), np.eye(2))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -377,14 +378,51 @@ def test_operator_norm_of_the_zero_map_is_zero(p, shape):
     assert got.exact == (p in (1.0, 2.0, INF))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="generic-p brackets hold only up to rounding (ROADMAP item 1)")
 def test_operator_norm_bracket_contains_the_norm_of_a_scaled_identity():
     # ||c I|| is the double c itself, yet the ascent's rounded value lands
-    # above it: 3 I on l^3_3 gives [3.0000000000000004, 3.0000000000000004]
+    # above it (3.0000000000000004 for 3 I on l^3_3): only a bracket whose
+    # ends are rounded outward contains c
     for p in (1.5, 3.0):
         for c in (3.0, 5.0, 7.0, 10.0, 0.3):
             assert operator_norm(lmap(c * np.eye(3), p=p)).contains(c), (p, c)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 8),
+    p=st.floats(1.01, 60.0).filter(lambda p: p != 2.0),
+    k=st.integers(-1000, 1000),
+    weights=st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_norm_bracket_contains_the_norm_of_a_scaled_doubly_stochastic_map(n, p, k, weights, seed):
+    # 2^k times a sum of permutation matrices with integer weights has every
+    # row and column summing to 2^k W (W the weights' sum): that is its norm at
+    # every p, the all-ones vector attaining it, and the bracket must contain it
+    rng = np.random.default_rng(seed)
+    a = sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
+    got = operator_norm(lmap(np.ldexp(a, k), p=p))
+    assert got.contains(math.ldexp(sum(weights), k))
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=st.integers(1, 64), k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+def test_operator_norm_brackets_the_norm_of_one_column_exactly_at_p_3(rows, k, seed):
+    # a single column's norm is its l^3 norm, and s^3 <= sum |a_i|^3 decides
+    # exactly, in rationals, on which side of it a double s lies
+    a = np.ldexp(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, 1)), k)
+    got = operator_norm(lmap(a, p=3.0))
+    cubes = sum(abs(Fraction(x)) ** 3 for x in a[:, 0])
+    assert Fraction(got.lower) ** 3 <= cubes <= Fraction(got.upper) ** 3
+
+
+def test_norm_bound_reciprocal_rounds_a_bracket_outward():
+    # 1/3 rounds, so a bracket's ends move one ulp outward; 1/4 and 1/2 do not round
+    r = NormBound(lower=3.0, upper=3.0, exact=False).reciprocal()
+    assert r.lower < 1.0 / 3.0 < r.upper
+    assert NormBound(lower=3.0, upper=3.0, exact=True).reciprocal().value == 1.0 / 3.0
+    r = NormBound(lower=2.0, upper=4.0, exact=False).reciprocal()
+    assert (r.lower, r.upper) == (0.25, 0.5)
 
 
 def test_norm_bound_reciprocal_of_zero_is_infinite():
